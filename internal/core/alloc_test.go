@@ -7,43 +7,67 @@ import (
 	"repro/internal/wire"
 )
 
-// The zero-allocation fast path: remote GMRead/GMWrite over the inproc
-// transport must stay allocation-free in steady state (the seed cost was 13
-// and 12 allocs/op respectively; pooled messages, pooled frame buffers and
-// the persistent reply mailbox removed all of them). The regression bound
-// is 1 alloc/op — far below the seed but tolerant of incidental runtime
-// noise under AllocsPerRun, which counts allocations on every goroutine,
-// including the remote kernel's.
+// The zero-allocation fast path: remote GMRead/GMWrite/FetchAdd/CAS over
+// the inproc transport must stay allocation-free in steady state (the seed
+// cost was 13 and 12 allocs/op for reads and writes; pooled messages, pooled
+// frame buffers and the persistent reply mailbox removed all of them).
+// AllocsPerRun counts allocations on every goroutine, the remote kernel's
+// included, and floors the per-run average, so incidental runtime noise
+// cannot fail the test but one allocation per operation does. Each row pins
+// its route, and the route counters prove the operations took it: the
+// default config would pick the one-sided paths on any multi-core host.
 func TestRemoteWordOpsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool reuse")
 	}
-	res, err := Run(Config{NumPE: 2, Transport: TransportInproc}, func(pe *PE) error {
-		addr := pe.Alloc(64)
-		for pe.Space().HomeOf(addr) == pe.ID() {
-			addr++
-		}
-		pe.Barrier()
-		if pe.ID() == 0 {
-			readAllocs := testing.AllocsPerRun(2000, func() { pe.GMRead(addr) })
-			writeAllocs := testing.AllocsPerRun(2000, func() { pe.GMWrite(addr, 42) })
-			faAllocs := testing.AllocsPerRun(2000, func() { pe.FetchAdd(addr, 1) })
-			t.Logf("allocs/op: GMRead=%v GMWrite=%v FetchAdd=%v", readAllocs, writeAllocs, faAllocs)
-			if readAllocs > 1 {
-				t.Errorf("GMRead allocates %v/op, want <= 1", readAllocs)
+	for _, route := range []struct {
+		name     string
+		cfg      Config
+		oneSided bool
+	}{
+		{"message", Config{KernelShards: 1, DirectReads: -1, WriteRings: -1}, false},
+		{"one-sided", Config{KernelShards: 2, DirectReads: 1, WriteRings: 1}, true},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			cfg := route.cfg
+			cfg.NumPE, cfg.Transport = 2, TransportInproc
+			res, err := Run(cfg, func(pe *PE) error {
+				addr := pe.Alloc(64)
+				for pe.Space().HomeOf(addr) == pe.ID() {
+					addr++
+				}
+				pe.Barrier()
+				if pe.ID() == 0 {
+					for _, op := range []struct {
+						name string
+						fn   func()
+					}{
+						{"GMRead", func() { pe.GMRead(addr) }},
+						{"GMWrite", func() { pe.GMWrite(addr, 42) }},
+						{"FetchAdd", func() { pe.FetchAdd(addr, 1) }},
+						{"CAS", func() { pe.CAS(addr, 42, 42) }},
+					} {
+						allocs := testing.AllocsPerRun(2000, op.fn)
+						t.Logf("%s: %v allocs/op", op.name, allocs)
+						if allocs != 0 {
+							t.Errorf("%s allocates %v/op on the %s route, want 0", op.name, allocs, route.name)
+						}
+					}
+				}
+				pe.Barrier()
+				return nil
+			})
+			if err != nil || res.FirstErr() != nil {
+				t.Fatal(err, res.FirstErr())
 			}
-			if writeAllocs > 1 {
-				t.Errorf("GMWrite allocates %v/op, want <= 1", writeAllocs)
+			direct, ring := res.Total.DirectGM, res.Total.RingGM
+			if route.oneSided && (direct == 0 || ring == 0) {
+				t.Errorf("one-sided route: DirectGM=%d RingGM=%d, want both > 0", direct, ring)
 			}
-			if faAllocs > 1 {
-				t.Errorf("FetchAdd allocates %v/op, want <= 1", faAllocs)
+			if !route.oneSided && (direct != 0 || ring != 0) {
+				t.Errorf("message route: DirectGM=%d RingGM=%d, want both 0", direct, ring)
 			}
-		}
-		pe.Barrier()
-		return nil
-	})
-	if err != nil || res.FirstErr() != nil {
-		t.Fatal(err, res.FirstErr())
+		})
 	}
 }
 

@@ -7,25 +7,30 @@ import (
 	"repro/internal/trace"
 )
 
-// runBenchProgram runs body once over an inproc cluster, b.N iterations
-// inside the program (cluster construction excluded from the loop cost
-// only approximately; these benchmarks measure runtime primitives, not
-// the constructor).
-func runBenchProgram(b *testing.B, n int, body Program) {
+// runBench runs body once over an inproc cluster configured by cfg, b.N
+// iterations inside the program (cluster construction excluded from the
+// loop cost only approximately; these benchmarks measure runtime
+// primitives, not the constructor).
+func runBench(b *testing.B, cfg Config, body Program) *Result {
 	b.Helper()
-	res, err := Run(Config{NumPE: n, Transport: TransportInproc}, body)
+	cfg.Transport = TransportInproc
+	res, err := Run(cfg, body)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := res.FirstErr(); err != nil {
 		b.Fatal(err)
 	}
+	return res
 }
 
-// BenchmarkGMRemoteWordRoundTrip measures one remote read request/response
-// through kernel service, wire codec and mailbox plumbing (inproc).
-func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
-	runBenchProgram(b, 2, func(pe *PE) error {
+// benchRemoteRead times b.N remote GMReads by PE 0 of a 2-PE cluster pinned
+// to the message route: one kernel shard and no one-sided window or ring,
+// so every read is a request/reply through kernel service, wire codec and
+// mailbox plumbing. It fails if any read was served by the window instead.
+func benchRemoteRead(b *testing.B, cfg Config) {
+	cfg.NumPE, cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = 2, 1, -1, -1
+	res := runBench(b, cfg, func(pe *PE) error {
 		addr := pe.Alloc(64)
 		// Find a word homed at the *other* kernel.
 		for pe.Space().HomeOf(addr) == pe.ID() {
@@ -42,11 +47,20 @@ func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
 		pe.Barrier()
 		return nil
 	})
+	if res.Total.DirectGM != 0 {
+		b.Fatalf("%d reads took the one-sided window, want the message route only", res.Total.DirectGM)
+	}
+}
+
+// BenchmarkGMRemoteWordRoundTrip measures one remote read request/response
+// through kernel service, wire codec and mailbox plumbing (inproc).
+func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
+	benchRemoteRead(b, Config{})
 }
 
 // BenchmarkBarrier measures the central barrier end to end on 4 PEs.
 func BenchmarkBarrier(b *testing.B) {
-	runBenchProgram(b, 4, func(pe *PE) error {
+	runBench(b, Config{NumPE: 4}, func(pe *PE) error {
 		if pe.ID() == 0 {
 			b.ResetTimer()
 		}
@@ -61,21 +75,23 @@ func BenchmarkBarrier(b *testing.B) {
 	})
 }
 
-// BenchmarkFetchAddPool measures the job-pool primitive under contention.
+// BenchmarkFetchAddPool measures the job-pool primitive under contention:
+// 4 PEs claim b.N jobs from one shared counter, so ns/op is the cluster's
+// time per claimed job whichever PE claimed it. The counter's home claims
+// through its local segment, the others through the message path.
 func BenchmarkFetchAddPool(b *testing.B) {
-	runBenchProgram(b, 4, func(pe *PE) error {
+	runBench(b, Config{NumPE: 4}, func(pe *PE) error {
 		counter := pe.Alloc(1)
 		pe.Barrier()
 		if pe.ID() == 0 {
 			b.ResetTimer()
 		}
-		for i := 0; i < b.N; i++ {
-			pe.FetchAdd(counter, 1)
+		for pe.FetchAdd(counter, 1) < int64(b.N) {
 		}
+		pe.Barrier()
 		if pe.ID() == 0 {
 			b.StopTimer()
 		}
-		pe.Barrier()
 		return nil
 	})
 }
@@ -89,35 +105,6 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 		if err != nil || res.FirstErr() != nil {
 			b.Fatal(err, res.FirstErr())
 		}
-	}
-}
-
-// benchRemoteRead builds the remote-read round trip loop used by the
-// tracing-overhead benchmarks.
-func benchRemoteRead(b *testing.B, cfg Config) {
-	cfg.NumPE = 2
-	cfg.Transport = TransportInproc
-	res, err := Run(cfg, func(pe *PE) error {
-		addr := pe.Alloc(64)
-		for pe.Space().HomeOf(addr) == pe.ID() {
-			addr++
-		}
-		pe.Barrier()
-		if pe.ID() == 0 {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pe.GMRead(addr)
-			}
-			b.StopTimer()
-		}
-		pe.Barrier()
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := res.FirstErr(); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -3,20 +3,24 @@ package core
 import "fmt"
 
 // The reliability layer surfaces request failures as typed errors through the
-// *Err API tier (GMReadErr, GMWriteErr, FetchAddErr, CASErr, PingErr). The
-// classic panic tier (GMRead, GMWrite, ...) wraps that tier and panics with
-// the error text, preserving the original "timed out" / "shut down" messages.
+// *Err API tier (GMReadErr, GMWriteErr, FetchAddErr, CASErr, PingErr). Every
+// panicking path — the classic tier (GMRead, GMWrite, ...), the block and
+// vectored transfers, synchronisation and message waits — panics with the
+// error value itself, so runPE's wrapped error keeps it visible to errors.As.
 
 // TimeoutError reports that a request exhausted its timeout (and, when
 // retries are configured, every retry attempt).
 type TimeoutError struct {
 	PE       int // requesting PE
-	Dst      int // home kernel the request was addressed to
+	Dst      int // home kernel the request was addressed to (-1: no single peer)
 	Op       string
 	Attempts int // total send attempts (1 = no retries configured)
 }
 
 func (e *TimeoutError) Error() string {
+	if e.Dst < 0 {
+		return fmt.Sprintf("core: PE %d: %s timed out", e.PE, e.Op)
+	}
 	if e.Attempts > 1 {
 		return fmt.Sprintf("core: PE %d: %s request to kernel %d timed out after %d attempts", e.PE, e.Op, e.Dst, e.Attempts)
 	}

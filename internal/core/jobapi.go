@@ -8,8 +8,6 @@ package core
 // scheduled jobs synchronise on.
 
 import (
-	"fmt"
-
 	"repro/internal/gmem"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -157,11 +155,7 @@ func (pe *PE) barrierSized(id int32, size int) {
 	arrive.Arg2 = int64(size)
 	pe.app.Send(0, arrive)
 	wire.PutMessage(arrive)
-	m := pe.takeSync()
-	if m.Op != wire.OpBarrierRelease || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected barrier %d release, got %v", k.id, id, m))
-	}
-	wire.PutMessage(m)
+	pe.awaitGrant(wire.OpBarrierRelease, id)
 	end := pe.app.Now()
 	pe.extra.WaitTime += end - start
 	pe.extra.BarrierWait.Observe(end - start)

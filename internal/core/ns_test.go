@@ -102,27 +102,32 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 		if err := pe.GMWriteErr(outside, 7); !errors.As(err, &nsErr) {
 			t.Errorf("ring write outside namespace: got %v, want *NamespaceError", err)
 		}
-		// Block/gather tiers panic with the same typed value.
-		func() {
-			defer func() {
-				r := recover()
-				err, ok := r.(error)
-				if !ok || !errors.As(err, &nsErr) {
-					t.Errorf("block read outside namespace: panic %v, want *NamespaceError", r)
-				}
+		// Every panicking tier — word, atomic, block and vectored — panics
+		// with the same typed value, so runPE's errors.As still sees it.
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"GMRead", func() { pe.GMRead(outside) }},
+			{"GMWrite", func() { pe.GMWrite(outside, 7) }},
+			{"FetchAdd", func() { pe.FetchAdd(outside, 1) }},
+			{"CAS", func() { pe.CAS(outside, 0, 1) }},
+			{"GMReadBlock", func() { pe.GMReadBlock(outside, 4) }},
+			{"GMWriteBlock", func() { pe.GMWriteBlock(outside, []int64{1, 2}) }},
+			{"GMGather", func() { pe.GMGather([]uint64{region.Base, outside}) }},
+			{"GMScatter", func() { pe.GMScatter([]uint64{region.Base, outside}, []int64{1, 2}) }},
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					err, ok := r.(error)
+					if !ok || !errors.As(err, &nsErr) {
+						t.Errorf("%s outside namespace: panic %v, want *NamespaceError", op.name, r)
+					}
+				}()
+				op.fn()
 			}()
-			pe.GMReadBlock(outside, 4)
-		}()
-		func() {
-			defer func() {
-				r := recover()
-				err, ok := r.(error)
-				if !ok || !errors.As(err, &nsErr) {
-					t.Errorf("gather outside namespace: panic %v, want *NamespaceError", r)
-				}
-			}()
-			pe.GMGather([]uint64{region.Base, outside})
-		}()
+		}
 		// In-region traffic still flows through the one-sided paths.
 		for i := uint64(0); i < 8; i++ {
 			pe.GMWrite(region.Base+i, int64(i+1))

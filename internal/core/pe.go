@@ -58,9 +58,9 @@ type PE struct {
 
 	// Scratch reused across calls by the hot-path operations.
 	words []int64   // decoded response payloads
-	vruns []vrun    // home-runs of the block/gather being assembled
-	hruns []vrun    // the same runs, grouped by home
-	reqs  []homeReq // one in-flight request per remote home
+	vruns []vrun    // remote runs plan queued for the current transfer
+	hruns []vrun    // the same runs, grouped by (home, shard)
+	reqs  []homeReq // one request per remote (home, shard)
 	fl    []uint64  // drained WC addresses (ascending) of the current flush
 	flv   []int64   // drained WC values, parallel to fl
 }
@@ -75,9 +75,8 @@ type leaseEntry struct {
 	until sim.Time
 }
 
-// vrun is one single-home run of a block or gather operation. A run never
-// crosses a block boundary (HomeRuns caps runs at the block end), so it also
-// has a single home-side shard.
+// vrun is one single-home run of a vector operation. A run never crosses a
+// block boundary (see wordSet.run), so it also has a single home-side shard.
 type vrun struct {
 	home  int
 	shard int // home-side kernel shard owning this run's block
@@ -185,7 +184,7 @@ func (pe *PE) legacyCrossing() {
 func (pe *PE) request(dst int, m *wire.Message) *wire.Message {
 	resp, err := pe.requestErr(dst, m)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return resp
 }
@@ -335,53 +334,66 @@ func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message
 // reply that arrived after we gave up on it) is recycled and skipped instead
 // of being misdelivered as the answer to the current request.
 func (pe *PE) takeReply(seq uint64, op wire.Op, dst int, attempts int) (*wire.Message, error) {
-	k := pe.k
-	d := k.requestTimeout()
+	d := pe.k.requestTimeout()
 	deadline := pe.app.Now() + d
 	for {
-		var resp *wire.Message
-		var ok bool
+		wait := d
 		if d > 0 {
-			remaining := deadline - pe.app.Now()
-			if remaining <= 0 {
-				return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: attempts}
+			if wait = deadline - pe.app.Now(); wait <= 0 {
+				return nil, &TimeoutError{PE: pe.k.id, Dst: dst, Op: op.String(), Attempts: attempts}
 			}
-			var timedOut bool
-			resp, ok, timedOut = pe.replyMb.TakeTimeout(remaining)
-			if timedOut {
-				return nil, &TimeoutError{PE: k.id, Dst: dst, Op: op.String(), Attempts: attempts}
-			}
-		} else {
-			resp, ok = pe.replyMb.Take()
 		}
-		if !ok {
-			return nil, &ShutdownError{PE: k.id, Op: op.String()}
-		}
-		if resp.Op == wire.OpPeerDown {
-			peer, rseq := int(resp.Src), resp.Seq
-			wire.PutMessage(resp)
-			if rseq != seq {
-				pe.extra.StaleReplies++ // failure notice for an older request
-				continue
-			}
-			return nil, &PeerDownError{PE: k.id, Peer: peer, Op: op.String()}
+		resp, err := pe.take(pe.replyMb, wait, op.String(), dst, attempts)
+		if err != nil {
+			return nil, err
 		}
 		if resp.Seq != seq {
-			pe.extra.StaleReplies++
+			pe.extra.StaleReplies++ // reply (or failure notice) for an older request
 			wire.PutMessage(resp)
 			continue
+		}
+		if resp.Op == wire.OpPeerDown {
+			peer := int(resp.Src)
+			wire.PutMessage(resp)
+			return nil, &PeerDownError{PE: pe.k.id, Peer: peer, Op: op.String()}
 		}
 		return resp, nil
 	}
 }
 
+// take is the one timed mailbox take under every blocking PE wait: the next
+// message on mb, waiting at most d (forever when d <= 0). A timeout reports
+// *TimeoutError (naming dst and attempts; dst < 0 when the wait has no
+// single peer) and a shut-down cluster *ShutdownError.
+func (pe *PE) take(mb transport.Mailbox, d sim.Duration, op string, dst, attempts int) (*wire.Message, error) {
+	var m *wire.Message
+	var ok, timedOut bool
+	if d > 0 {
+		m, ok, timedOut = mb.TakeTimeout(d)
+	} else {
+		m, ok = mb.Take()
+	}
+	switch {
+	case timedOut:
+		return nil, &TimeoutError{PE: pe.k.id, Dst: dst, Op: op, Attempts: attempts}
+	case !ok:
+		return nil, &ShutdownError{PE: pe.k.id, Op: op}
+	}
+	return m, nil
+}
+
 // --- Global memory: word operations ---
+//
+// The scalar operations keep their own fast paths (own home, cache,
+// one-sided window and ring, then the message path) — they run in tens of
+// nanoseconds, well below what a vector transfer's planning costs. Vector
+// operations all go through plan and transfer below.
 
 // GMRead reads the global-memory word at addr, panicking on failure.
 func (pe *PE) GMRead(addr uint64) int64 {
 	v, err := pe.GMReadErr(addr)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return v
 }
@@ -397,67 +409,48 @@ func (pe *PE) GMReadErr(addr uint64) (int64, error) {
 		return 0, err
 	}
 	pe.legacyCrossing()
-	switch pe.modes.Lookup(addr) {
-	case gmem.ModeRelease:
-		if v, ok := pe.wc.Lookup(addr); ok {
-			var t0 sim.Time
-			if pe.hist != nil {
-				t0 = pe.app.Now()
-			}
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			pe.recordRead(addr, v, false, t0, uint8(gmem.ModeRelease))
-			return v, nil
-		}
-		return pe.readWord(addr, uint8(gmem.ModeRelease))
-	case gmem.ModeLease:
-		return pe.readLease(addr)
+	mode := uint8(pe.modes.Lookup(addr))
+	if mode == uint8(gmem.ModeLease) {
+		var v [1]int64
+		err := pe.readLeaseRange(v[:], addr)
+		return v[0], err
 	}
-	return pe.readWord(addr, 0)
+	return pe.readWord(addr, mode)
+}
+
+// localAccess charges one access served from this node's memory.
+func (pe *PE) localAccess() {
+	pe.app.LocalAccess()
+	pe.extra.LocalGM++
 }
 
 // readWord is the home-served scalar read shared by the strong and release
-// tiers (mode only tags the recorded events; the protocol is identical).
+// tiers: a release word is answered from the PE's own buffered store when
+// there is one, and otherwise the protocol is identical (mode only tags the
+// recorded events).
 func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 	k := pe.k
 	var t0 sim.Time
 	if pe.hist != nil {
 		t0 = pe.app.Now()
 	}
-	if k.cache != nil {
-		if v, ok := k.cache.Lookup(addr); ok {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			pe.recordRead(addr, v, true, t0, mode)
-			return v, nil
-		}
-		if k.homeOf(addr) == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			v := k.seg.ReadWord(addr)
+	if mode == uint8(gmem.ModeRelease) {
+		if v, ok := pe.wc.Lookup(addr); ok {
+			pe.localAccess()
 			pe.recordRead(addr, v, false, t0, mode)
 			return v, nil
 		}
-		pe.extra.RemoteGM++
-		req := wire.GetMessage()
-		req.Op, req.Addr, req.Arg2 = wire.OpRead, addr, 1
-		resp, err := pe.requestErr(k.homeOf(addr), req)
-		wire.PutMessage(req)
-		if err != nil {
-			pe.recordReadFailed(addr, t0, mode)
-			return 0, err
+	}
+	if k.cache != nil {
+		if v, ok := k.cache.Lookup(addr); ok {
+			pe.localAccess()
+			pe.recordRead(addr, v, true, t0, mode)
+			return v, nil
 		}
-		pe.words = resp.WordsInto(pe.words)
-		wire.PutMessage(resp)
-		k.cache.Insert(addr, pe.words)
-		v := pe.words[addr%uint64(k.space.BlockWords)]
-		pe.recordRead(addr, v, false, t0, mode)
-		return v, nil
 	}
 	home := k.homeOf(addr)
 	if home == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
+		pe.localAccess()
 		v := k.seg.ReadWord(addr)
 		pe.recordRead(addr, v, false, t0, mode)
 		return v, nil
@@ -468,11 +461,11 @@ func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 		// space, so resolve the read directly through its seqlock instead of
 		// a request/reply pair. Every word has a single home and the seqlock
 		// yields a torn-free value, so this is as consistent as the message
-		// path it replaces (uncached mode only: no directory to update). The
-		// ownership check inside the home's seqlock critical section makes
-		// the window migration-safe: a block mid-handoff fails the check
-		// (the extract bumped the write sequence) and the read falls through
-		// to the message path, which follows the NACK redirect.
+		// path it replaces (windows exist only uncached: no directory to
+		// update). The ownership check inside the home's seqlock critical
+		// section makes the window migration-safe: a block mid-handoff fails
+		// the check (the extract bumped the write sequence) and the read
+		// falls through to the message path, which follows the NACK redirect.
 		pe.app.LocalAccess()
 		if v, ok := wins[home].DirectReadOwned(addr); ok {
 			pe.extra.DirectGM++
@@ -482,13 +475,25 @@ func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 	}
 	req := wire.GetMessage()
 	req.Op, req.Addr, req.Arg1 = wire.OpRead, addr, 1
+	if k.cache != nil {
+		// Arg2 == 1 is a cache fill: the home returns the whole block and
+		// registers this node in the block's copyset.
+		req.Arg1, req.Arg2 = 0, 1
+	}
 	resp, err := pe.requestErr(home, req)
 	wire.PutMessage(req)
 	if err != nil {
 		pe.recordReadFailed(addr, t0, mode)
 		return 0, err
 	}
-	v := resp.Word(0)
+	var v int64
+	if k.cache != nil {
+		pe.words = resp.WordsInto(pe.words)
+		k.cache.Insert(addr, pe.words)
+		v = pe.words[addr%uint64(k.space.BlockWords)]
+	} else {
+		v = resp.Word(0)
+	}
 	wire.PutMessage(resp)
 	pe.recordRead(addr, v, false, t0, mode)
 	return v, nil
@@ -520,40 +525,45 @@ func (pe *PE) recordReadFailed(addr uint64, t0 sim.Time, mode uint8) {
 
 // --- Lease-mode reads (ModeLease, DESIGN.md §14) ---
 
-// readLease serves a lease-mode scalar read: a live lease covering the
-// word's block answers locally with no messages, a miss fetches the block
-// under a fresh time-bounded lease. Own-home words read the segment
-// directly — always fresh, so they carry a strong staleness bound.
-func (pe *PE) readLease(addr uint64) (int64, error) {
+// readLeaseRange serves a lease-mode read of len(out) words at addr block
+// by block: a live lease covering the block answers locally with no
+// messages, a miss fetches the block under a fresh time-bounded lease.
+// Own-home blocks read the segment directly — always fresh, so they carry a
+// strong staleness bound. A failed fetch records the block's words as
+// failed reads and stops the range with the error.
+func (pe *PE) readLeaseRange(out []int64, addr uint64) error {
 	k := pe.k
 	var t0 sim.Time
 	if pe.hist != nil {
 		t0 = pe.app.Now()
 	}
 	bw := uint64(k.space.BlockWords)
-	base := addr - addr%bw
-	if le := pe.leaseHit(base); le != nil {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		v := le.words[addr-base]
-		pe.recordLeaseRead(addr, v, t0, le)
-		return v, nil
+	end := addr + uint64(len(out))
+	for base := addr - addr%bw; base < end; base += bw {
+		lo, hi := max(base, addr), min(base+bw, end)
+		dst := out[lo-addr : hi-addr]
+		if k.homeOf(base) == k.id {
+			pe.localAccess()
+			k.seg.ReadInto(dst, lo)
+			pe.recordReads(wordRange(lo, len(dst)), dst, t0, uint8(gmem.ModeLease), nil)
+			continue
+		}
+		le := pe.leaseHit(base)
+		if le != nil {
+			pe.localAccess()
+		} else {
+			var err error
+			if le, err = pe.fetchLease(base); err != nil {
+				for a := lo; a < hi; a++ {
+					pe.recordReadFailed(a, t0, uint8(gmem.ModeLease))
+				}
+				return err
+			}
+		}
+		copy(dst, le.words[lo-base:hi-base])
+		pe.recordReads(wordRange(lo, len(dst)), dst, t0, uint8(gmem.ModeLease), le)
 	}
-	if k.homeOf(addr) == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		v := k.seg.ReadWord(addr)
-		pe.recordRead(addr, v, false, t0, uint8(gmem.ModeLease))
-		return v, nil
-	}
-	le, err := pe.fetchLease(base)
-	if err != nil {
-		pe.recordReadFailed(addr, t0, uint8(gmem.ModeLease))
-		return 0, err
-	}
-	v := le.words[addr-base]
-	pe.recordLeaseRead(addr, v, t0, le)
-	return v, nil
+	return nil
 }
 
 // leaseHit returns the live lease covering the block at base, dropping an
@@ -596,20 +606,6 @@ func (pe *PE) fetchLease(base uint64) (*leaseEntry, error) {
 	return le, nil
 }
 
-// recordLeaseRead logs a read served under a lease: Cached marks it
-// lease-served, Arg1/Arg2 carry the grant and expiry instants the checker's
-// lease rules bound staleness with.
-func (pe *PE) recordLeaseRead(addr uint64, v int64, t0 sim.Time, le *leaseEntry) {
-	if pe.hist == nil {
-		return
-	}
-	pe.hist.Add(check.Event{
-		Kind: check.KindRead, Addr: addr, Out: v, Cached: true,
-		Mode: uint8(gmem.ModeLease), Arg1: int64(le.grant), Arg2: int64(le.until),
-		Inv: t0, Resp: pe.app.Now(),
-	})
-}
-
 // dropLeases discards this PE's leases covering [addr, addr+n): its own
 // writes must not keep being answered from a snapshot that predates them.
 func (pe *PE) dropLeases(addr uint64, n int) {
@@ -632,7 +628,7 @@ func (pe *PE) clearLeases() {
 // GMWrite stores v at addr, panicking on failure.
 func (pe *PE) GMWrite(addr uint64, v int64) {
 	if err := pe.GMWriteErr(addr, v); err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 }
 
@@ -716,34 +712,37 @@ func (pe *PE) GMWriteErr(addr uint64, v int64) error {
 		return err
 	}
 	pe.legacyCrossing()
-	switch pe.modes.Lookup(addr) {
+	switch mode := pe.modes.Lookup(addr); mode {
 	case gmem.ModeRelease:
-		pe.bufferWrite(addr, v)
+		pe.bufferWrites(addr, []int64{v})
 		return nil
 	case gmem.ModeLease:
 		pe.dropLeases(addr, 1)
-		return pe.writeWord(addr, v, uint8(gmem.ModeLease))
+		return pe.writeWord(addr, v, uint8(mode))
 	}
 	return pe.writeWord(addr, v, 0)
 }
 
-// bufferWrite absorbs a release-mode store into the write-combining buffer:
+// bufferWrites absorbs release-mode stores into the write-combining buffer:
 // purely local, same-word stores coalesce last-writer-wins, and the next
-// sync edge publishes the buffer. The recorded event's instantaneous
+// sync edge publishes the buffer. Each recorded event's instantaneous
 // interval is the buffering instant; the checker derives the store's effect
 // window from the first sync fence at or after it.
-func (pe *PE) bufferWrite(addr uint64, v int64) {
-	pe.app.LocalAccess()
-	pe.extra.LocalGM++
+func (pe *PE) bufferWrites(addr uint64, words []int64) {
+	pe.localAccess()
 	if pe.hist != nil {
 		now := pe.app.Now()
-		idx := pe.hist.Begin(check.Event{
-			Kind: check.KindWrite, Addr: addr, Arg1: v,
-			Mode: uint8(gmem.ModeRelease), Inv: now,
-		})
-		pe.hist.Complete(idx, 0, true, now)
+		for i, v := range words {
+			idx := pe.hist.Begin(check.Event{
+				Kind: check.KindWrite, Addr: addr + uint64(i), Arg1: v,
+				Mode: uint8(gmem.ModeRelease), Inv: now,
+			})
+			pe.hist.Complete(idx, 0, true, now)
+		}
 	}
-	pe.wc.Put(addr, v)
+	for i, v := range words {
+		pe.wc.Put(addr+uint64(i), v)
+	}
 }
 
 // writeWord is the home-served scalar store shared by the strong and lease
@@ -756,41 +755,19 @@ func (pe *PE) writeWord(addr uint64, v int64, mode uint8) error {
 			Kind: check.KindWrite, Addr: addr, Arg1: v, Mode: mode, Inv: pe.app.Now(),
 		})
 	}
+	home := k.homeOf(addr)
+	var seq uint64 // nonzero: confirm an ambiguous ring write under its sequence
 	if k.cache == nil {
-		home := k.homeOf(addr)
 		if home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
+			pe.localAccess()
 			k.seg.WriteWord(addr, v)
-			if pe.hist != nil {
-				pe.hist.Complete(hidx, 0, true, pe.app.Now())
-			}
+			pe.complete(hidx, 0, true)
 			return nil
 		}
-		st, ringSeq := pe.ringWrite(home, addr, v)
-		if st == ringApplied {
+		var st ringStatus
+		if st, seq = pe.ringWrite(home, addr, v); st == ringApplied {
 			pe.extra.RemoteGM++
-			if pe.hist != nil {
-				pe.hist.Complete(hidx, 0, true, pe.app.Now())
-			}
-			return nil
-		}
-		if st == ringAmbiguous {
-			// A migration raced the ring submission: confirm through the
-			// message path with the SAME sequence number (see ringAmbiguous).
-			pe.extra.RemoteGM++
-			req := wire.GetMessage()
-			req.Op, req.Addr = wire.OpWrite, addr
-			req.PutWord(v)
-			resp, err := pe.requestSeqErr(home, req, ringSeq)
-			wire.PutMessage(req)
-			if err != nil {
-				return err
-			}
-			wire.PutMessage(resp)
-			if pe.hist != nil {
-				pe.hist.Complete(hidx, 0, true, pe.app.Now())
-			}
+			pe.complete(hidx, 0, true)
 			return nil
 		}
 	}
@@ -798,12 +775,14 @@ func (pe *PE) writeWord(addr uint64, v int64, mode uint8) error {
 	// machinery, including our own home (via the own-node message path).
 	// The writer drops its own cached copy too: a kept-warm copy would no
 	// longer be registered in the home's directory, so later writes by
-	// other PEs could not invalidate it.
+	// other PEs could not invalidate it. An ambiguous ring write is
+	// confirmed through this path with the SAME sequence number (see
+	// ringAmbiguous).
 	pe.extra.RemoteGM++
 	req := wire.GetMessage()
 	req.Op, req.Addr = wire.OpWrite, addr
 	req.PutWord(v)
-	resp, err := pe.requestErr(k.homeOf(addr), req)
+	resp, err := pe.requestSeqErr(home, req, seq)
 	wire.PutMessage(req)
 	if err != nil {
 		return err
@@ -812,10 +791,16 @@ func (pe *PE) writeWord(addr uint64, v int64, mode uint8) error {
 	if k.cache != nil {
 		k.cache.Invalidate(addr)
 	}
-	if pe.hist != nil {
-		pe.hist.Complete(hidx, 0, true, pe.app.Now())
-	}
+	pe.complete(hidx, 0, true)
 	return nil
+}
+
+// complete closes the in-flight history event idx with its result (no-op
+// unless Config.RecordHistory).
+func (pe *PE) complete(idx int, out int64, ok bool) {
+	if pe.hist != nil {
+		pe.hist.Complete(idx, out, ok, pe.app.Now())
+	}
 }
 
 // FetchAdd atomically adds delta to the word at addr, returning the old
@@ -823,7 +808,7 @@ func (pe *PE) writeWord(addr uint64, v int64, mode uint8) error {
 func (pe *PE) FetchAdd(addr uint64, delta int64) int64 {
 	old, err := pe.FetchAddErr(addr, delta)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return old
 }
@@ -832,50 +817,8 @@ func (pe *PE) FetchAdd(addr uint64, delta int64) int64 {
 // that slips past a lost reply is absorbed by the home's dedup window, so
 // the addition is applied exactly once even under retransmission.
 func (pe *PE) FetchAddErr(addr uint64, delta int64) (int64, error) {
-	if err := pe.nsCheck("fetch-add", addr, 1); err != nil {
-		return 0, err
-	}
-	pe.legacyCrossing()
-	k := pe.k
-	// Atomics always run the strong protocol at the home; the tag only marks
-	// which per-word rule set judges them. A lease over the word is dropped
-	// so later lease reads re-observe the mutation.
-	mode := uint8(pe.modes.Lookup(addr))
-	if mode == uint8(gmem.ModeLease) {
-		pe.dropLeases(addr, 1)
-	}
-	hidx := -1
-	if pe.hist != nil {
-		hidx = pe.hist.Begin(check.Event{
-			Kind: check.KindFetchAdd, Addr: addr, Arg1: delta, Mode: mode, Inv: pe.app.Now(),
-		})
-	}
-	if k.cache == nil && k.homeOf(addr) == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		old := k.seg.FetchAdd(addr, delta)
-		if pe.hist != nil {
-			pe.hist.Complete(hidx, old, true, pe.app.Now())
-		}
-		return old, nil
-	}
-	pe.extra.RemoteGM++
-	req := wire.GetMessage()
-	req.Op, req.Addr, req.Arg1 = wire.OpFetchAdd, addr, delta
-	resp, err := pe.requestErr(k.homeOf(addr), req)
-	wire.PutMessage(req)
-	if err != nil {
-		return 0, err
-	}
-	old := resp.Arg1
-	wire.PutMessage(resp)
-	if k.cache != nil {
-		k.cache.Invalidate(addr)
-	}
-	if pe.hist != nil {
-		pe.hist.Complete(hidx, old, true, pe.app.Now())
-	}
-	return old, nil
+	old, _, err := pe.atomic(wire.OpFetchAdd, addr, delta, 0)
+	return old, err
 }
 
 // CAS atomically compares-and-swaps the word at addr; it returns the
@@ -883,7 +826,7 @@ func (pe *PE) FetchAddErr(addr uint64, delta int64) (int64, error) {
 func (pe *PE) CAS(addr uint64, old, new int64) (int64, bool) {
 	prev, sw, err := pe.CASErr(addr, old, new)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return prev, sw
 }
@@ -891,68 +834,141 @@ func (pe *PE) CAS(addr uint64, old, new int64) (int64, bool) {
 // CASErr is CAS with request failures surfaced as errors; like FetchAddErr
 // it stays exactly-once under retransmission.
 func (pe *PE) CASErr(addr uint64, old, new int64) (int64, bool, error) {
-	if err := pe.nsCheck("cas", addr, 1); err != nil {
+	return pe.atomic(wire.OpCAS, addr, old, new)
+}
+
+// atomic is the one executor of the read-modify-write operations: op is
+// wire.OpFetchAdd (a1 = delta) or wire.OpCAS (a1 = expected, a2 = new). It
+// returns the previous value and whether the operation took effect (always
+// true for FetchAdd). Atomics always run the strong protocol at the home,
+// whatever the word's mode; the mode only tags the recorded event, and a
+// lease over the word is dropped so later lease reads re-observe the
+// mutation.
+func (pe *PE) atomic(op wire.Op, addr uint64, a1, a2 int64) (int64, bool, error) {
+	if err := pe.nsCheck(op.String(), addr, 1); err != nil {
 		return 0, false, err
 	}
 	pe.legacyCrossing()
 	k := pe.k
-	// Strong protocol regardless of mode, like FetchAddErr.
 	mode := uint8(pe.modes.Lookup(addr))
 	if mode == uint8(gmem.ModeLease) {
 		pe.dropLeases(addr, 1)
 	}
 	hidx := -1
 	if pe.hist != nil {
+		kind := check.KindFetchAdd
+		if op == wire.OpCAS {
+			kind = check.KindCAS
+		}
 		hidx = pe.hist.Begin(check.Event{
-			Kind: check.KindCAS, Addr: addr, Arg1: old, Arg2: new, Mode: mode, Inv: pe.app.Now(),
+			Kind: kind, Addr: addr, Arg1: a1, Arg2: a2, Mode: mode, Inv: pe.app.Now(),
 		})
 	}
-	if k.cache == nil && k.homeOf(addr) == k.id {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		prev, sw := k.seg.CAS(addr, old, new)
-		if pe.hist != nil {
-			pe.hist.Complete(hidx, prev, sw, pe.app.Now())
+	prev, ok := int64(0), true
+	home := k.homeOf(addr)
+	if k.cache == nil && home == k.id {
+		pe.localAccess()
+		if op == wire.OpCAS {
+			prev, ok = k.seg.CAS(addr, a1, a2)
+		} else {
+			prev = k.seg.FetchAdd(addr, a1)
 		}
-		return prev, sw, nil
+	} else {
+		pe.extra.RemoteGM++
+		req := wire.GetMessage()
+		req.Op, req.Addr, req.Arg1, req.Arg2 = op, addr, a1, a2
+		resp, err := pe.requestErr(home, req)
+		wire.PutMessage(req)
+		if err != nil {
+			return 0, false, err
+		}
+		prev = resp.Arg1
+		if op == wire.OpCAS {
+			ok = resp.Arg2 == 1
+		}
+		wire.PutMessage(resp)
+		if k.cache != nil {
+			k.cache.Invalidate(addr)
+		}
 	}
-	pe.extra.RemoteGM++
-	req := wire.GetMessage()
-	req.Op, req.Addr, req.Arg1, req.Arg2 = wire.OpCAS, addr, old, new
-	resp, err := pe.requestErr(k.homeOf(addr), req)
-	wire.PutMessage(req)
-	if err != nil {
-		return 0, false, err
-	}
-	prev, sw := resp.Arg1, resp.Arg2 == 1
-	wire.PutMessage(resp)
-	if k.cache != nil {
-		k.cache.Invalidate(addr)
-	}
-	if pe.hist != nil {
-		pe.hist.Complete(hidx, prev, sw, pe.app.Now())
-	}
-	return prev, sw, nil
+	pe.complete(hidx, prev, ok)
+	return prev, ok, nil
 }
 
 // --- Global memory: block and vectored (scatter/gather) operations ---
 
-// sendAsync issues a request without waiting for its reply (which will
-// arrive in the persistent reply mailbox, matched by the returned Seq).
-// The DSE kernel's asynchronous-I/O design lets a DSE process keep several
-// requests in flight, so a transfer overlaps its per-home round trips.
-func (pe *PE) sendAsync(dst int, m *wire.Message) uint64 {
-	k := pe.k
-	m.Src = int32(k.id)
-	m.Dst = int32(dst)
-	seq, dead := k.addPending(pe.replyMb, dst)
-	if dead {
-		pe.dropTransferPending()
-		panic((&PeerDownError{PE: k.id, Peer: dst, Op: m.Op.String()}).Error())
+// wordSet names the words of one vector operation: the contiguous range
+// [addr, addr+n) when addrs is nil, else the n listed addresses in order.
+// Word i of the set pairs with element i of the caller's buffer.
+type wordSet struct {
+	addr  uint64
+	addrs []uint64
+	n     int
+	// coalesce merges runs of consecutive ascending listed addresses within
+	// one block (a write-combining flush); uncoalesced lists travel one word
+	// per run, like the gather/scatter calls that produced them.
+	coalesce bool
+}
+
+func wordRange(addr uint64, n int) wordSet { return wordSet{addr: addr, n: n} }
+func wordList(addrs []uint64) wordSet      { return wordSet{addrs: addrs, n: len(addrs)} }
+
+func (ws wordSet) at(i int) uint64 {
+	if ws.addrs == nil {
+		return ws.addr + uint64(i)
 	}
-	m.Seq = seq
-	pe.app.Send(dst, m)
-	return seq
+	return ws.addrs[i]
+}
+
+// run returns the run of words starting at word i. A run never crosses a
+// block boundary, so it has a single home and a single home-side shard.
+func (ws wordSet) run(i int, bw uint64) (start uint64, count int) {
+	start, count = ws.at(i), 1
+	if ws.addrs == nil {
+		count = int(min(bw-start%bw, uint64(ws.n-i)))
+	} else if ws.coalesce {
+		for i+count < ws.n && ws.addrs[i+count] == start+uint64(count) && (start+uint64(count))%bw != 0 {
+			count++
+		}
+	}
+	return start, count
+}
+
+// plan is the run planner shared by every vector operation: it walks the
+// runs of ws in order, serving own-home runs from the local segment on the
+// spot and queueing the rest in pe.vruns for the executor. Home lookups
+// interleave with the local accesses, so a directory change that lands
+// while a simulated access yields routes the later runs by the new
+// directory. Reads (op == wire.OpReadV) serve own-home runs even under
+// caching — vector reads bypass the cache — while writes under caching send
+// every run through the home's invalidation machinery and drop the PE's
+// cached copy. buf is the caller's buffer: read into, or written from.
+func (pe *PE) plan(op wire.Op, ws wordSet, buf []int64) {
+	k := pe.k
+	bw := uint64(k.space.BlockWords)
+	pe.vruns = pe.vruns[:0]
+	for i := 0; i < ws.n; {
+		start, count := ws.run(i, bw)
+		home := k.homeOf(start)
+		switch {
+		case home == k.id && op == wire.OpReadV:
+			pe.localAccess()
+			k.seg.ReadInto(buf[i:i+count], start)
+		case home == k.id && k.cache == nil:
+			pe.localAccess()
+			k.seg.Write(start, buf[i:i+count])
+		default:
+			pe.extra.RemoteGM++
+			pe.vruns = append(pe.vruns, vrun{
+				home: home, shard: k.space.ShardOf(start, k.nshards),
+				start: start, count: count, off: i,
+			})
+			if op != wire.OpReadV && k.cache != nil {
+				k.cache.Invalidate(start)
+			}
+		}
+		i += count
+	}
 }
 
 // groupRunsByHome regroups pe.vruns into pe.hruns ordered by home (and, when
@@ -985,74 +1001,89 @@ func (pe *PE) groupRunsByHome() {
 	}
 }
 
-// awaitGather collects the per-home read responses of a pipelined gather,
-// scattering each response's words into out at the runs' offsets. Replies
-// are matched by Seq, so out-of-order arrival is fine and stale mailbox
-// residue is discarded rather than corrupting the transfer.
-func (pe *PE) awaitGather(out []int64) {
+// transferReq builds the request carrying runs (all homed at one kernel)
+// for a vector operation op — wire.OpReadV, OpWriteV or OpFlushV. A lone
+// read or write run travels as the plain OpRead/OpWrite; flushes are always
+// vectored. Write payloads come from buf at the runs' offsets.
+func transferReq(op wire.Op, runs []vrun, buf []int64) *wire.Message {
+	req := wire.GetMessage()
+	if r := runs[0]; len(runs) == 1 && op != wire.OpFlushV {
+		req.Addr = r.start
+		if op == wire.OpReadV {
+			req.Op, req.Arg1 = wire.OpRead, int64(r.count)
+		} else {
+			req.Op = wire.OpWrite
+			req.PutWords(buf[r.off : r.off+r.count])
+		}
+		return req
+	}
+	req.Op = op
+	for _, r := range runs {
+		if op == wire.OpReadV {
+			req.AppendRange(r.start, r.count)
+		} else {
+			req.AppendWriteRun(r.start, buf[r.off:r.off+r.count])
+		}
+	}
+	return req
+}
+
+// transfer is the pipelined executor behind every block and vectored
+// operation: it issues the runs plan queued as one request per (home,
+// shard), all in flight at once — the DSE kernel's asynchronous-I/O design
+// lets a DSE process overlap its per-home round trips — then collects one
+// reply per request, matched by Seq, so out-of-order arrival is fine and
+// stale mailbox residue is discarded. Reads (op == wire.OpReadV) scatter
+// each reply's words into buf at the runs' offsets; writes (wire.OpWriteV)
+// send their words from buf. A no-op when plan queued nothing.
+func (pe *PE) transfer(op wire.Op, buf []int64) {
+	if len(pe.vruns) == 0 {
+		return
+	}
+	pe.groupRunsByHome()
+	for i := range pe.reqs {
+		g := &pe.reqs[i]
+		req := transferReq(op, pe.hruns[g.lo:g.hi], buf)
+		req.Shard = uint8(g.shard)
+		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
+		wire.PutMessage(req)
+	}
 	start := pe.app.Now()
 	var nacked []*homeReq
 	for remaining := len(pe.reqs); remaining > 0; {
-		resp := pe.takeTransfer(wire.OpReadV)
-		g := pe.findReq(resp.Seq)
-		if g == nil {
+		resp := pe.takeTransfer(op)
+		g := pe.outstanding(resp.Seq)
+		switch {
+		case g == nil:
 			pe.extra.StaleReplies++
-			wire.PutMessage(resp)
-			continue
-		}
-		remaining--
-		if resp.Op == wire.OpMigrateNack {
+		case resp.Op == wire.OpMigrateNack:
 			// One of the sub-request's blocks migrated away; the home NACKed
-			// the whole message before touching anything. Park the group until
-			// every other sub-response has drained: the synchronous replay
-			// shares the reply mailbox, and its stale-reply filter would
-			// destroy any still-outstanding sibling response it raced.
-			wire.PutMessage(resp)
+			// the whole message before touching anything (all-or-nothing),
+			// so a replay cannot double-apply. Park the group until every
+			// other sub-response has drained: the synchronous replay shares
+			// the reply mailbox, and its stale-reply filter would destroy any
+			// still-outstanding sibling response it raced.
 			pe.extra.MigrateNacks++
 			nacked = append(nacked, g)
-			continue
+		case op == wire.OpReadV:
+			pe.words = resp.WordsInto(pe.words)
+			woff := 0
+			for _, r := range pe.hruns[g.lo:g.hi] {
+				copy(buf[r.off:r.off+r.count], pe.words[woff:woff+r.count])
+				woff += r.count
+			}
 		}
-		pe.words = resp.WordsInto(pe.words)
+		if g != nil {
+			g.done = true
+			remaining--
+		}
 		wire.PutMessage(resp)
-		woff := 0
-		for _, r := range pe.hruns[g.lo:g.hi] {
-			copy(out[r.off:r.off+r.count], pe.words[woff:woff+r.count])
-			woff += r.count
-		}
 	}
 	for _, g := range nacked {
-		// Re-issue each run synchronously — requestSeqErr follows the
-		// redirect chain and learns the new homes along the way.
-		pe.regatherRuns(g, out)
+		pe.replayRuns(op, g, buf)
 	}
-	pe.finishTransfer(wire.OpReadV, start)
-}
-
-// regatherRuns re-reads every run of a NACKed gather sub-request through the
-// scalar request path (one request per run, routed by the live directory).
-// Rare — at most once per sub-request per overlapping migration — so the
-// lost pipelining doesn't matter.
-func (pe *PE) regatherRuns(g *homeReq, out []int64) {
-	k := pe.k
-	for _, r := range pe.hruns[g.lo:g.hi] {
-		req := wire.GetMessage()
-		req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, int64(r.count)
-		resp, err := pe.requestErr(k.homeOf(r.start), req)
-		wire.PutMessage(req)
-		if err != nil {
-			pe.dropTransferPending()
-			panic(fmt.Sprintf("core: PE %d: re-reading run at %d after a home migration: %v", k.id, r.start, err))
-		}
-		pe.words = resp.WordsInto(pe.words)
-		wire.PutMessage(resp)
-		copy(out[r.off:r.off+r.count], pe.words[:r.count])
-	}
-}
-
-// finishTransfer charges a pipelined transfer's wait phase and records its
-// span (the per-home round trips overlap, so the transfer — not each
-// request — is the observable unit).
-func (pe *PE) finishTransfer(op wire.Op, start sim.Time) {
+	// The per-home round trips overlap, so the transfer — not each request
+	// — is the observable unit of the wait time, histograms and span.
 	end := pe.app.Now()
 	pe.extra.WaitTime += end - start
 	pe.extra.RTTByOp[op].Observe(end - start)
@@ -1067,102 +1098,77 @@ func (pe *PE) finishTransfer(op wire.Op, start sim.Time) {
 	}
 }
 
-// awaitAcks drains one ack per outstanding per-home request. src is the
-// buffer the transfer's runs index into with their off/count fields (the
-// caller's words for a block write, vals for a scatter): a sub-request
-// NACKed by a migrating home is replayed from it run by run.
-func (pe *PE) awaitAcks(src []int64) {
-	start := pe.app.Now()
-	var nacked []*homeReq
-	for remaining := len(pe.reqs); remaining > 0; {
-		resp := pe.takeTransfer(wire.OpWriteV)
-		g := pe.findReq(resp.Seq)
-		op := resp.Op
-		wire.PutMessage(resp)
-		if g == nil {
-			pe.extra.StaleReplies++
-			continue
-		}
-		remaining--
-		if op == wire.OpMigrateNack {
-			// The home NACKed the whole sub-request before applying any run
-			// (all-or-nothing), so replaying every run with fresh sequences
-			// cannot double-apply. The replay is parked until every other
-			// sub-response has drained: it shares the reply mailbox, and its
-			// stale-reply filter would destroy a sibling response it raced.
-			pe.extra.MigrateNacks++
-			nacked = append(nacked, g)
-		}
-	}
-	for _, g := range nacked {
-		// Each replay routes by the live directory and follows redirects.
-		pe.rewriteRuns(g, src)
-	}
-	pe.finishTransfer(wire.OpWriteV, start)
-}
-
-// rewriteRuns replays every run of a NACKed write sub-request through the
-// scalar request path.
-func (pe *PE) rewriteRuns(g *homeReq, src []int64) {
-	k := pe.k
-	for _, r := range pe.hruns[g.lo:g.hi] {
-		req := wire.GetMessage()
-		req.Op, req.Addr = wire.OpWrite, r.start
-		req.PutWords(src[r.off : r.off+r.count])
-		resp, err := pe.requestErr(k.homeOf(r.start), req)
+// replayRuns re-issues every run of a NACKed sub-request through the
+// synchronous request path, one request per run routed by the live
+// directory; requestErr follows any further redirect and learns the new
+// homes along the way. Rare — at most once per sub-request per overlapping
+// migration — so the lost pipelining doesn't matter.
+func (pe *PE) replayRuns(op wire.Op, g *homeReq, buf []int64) {
+	for i := g.lo; i < g.hi; i++ {
+		r := pe.hruns[i]
+		req := transferReq(op, pe.hruns[i:i+1], buf)
+		resp, err := pe.requestErr(pe.k.homeOf(r.start), req)
 		wire.PutMessage(req)
 		if err != nil {
-			pe.dropTransferPending()
-			panic(fmt.Sprintf("core: PE %d: re-writing run at %d after a home migration: %v", k.id, r.start, err))
+			panic(err)
+		}
+		if op == wire.OpReadV {
+			pe.words = resp.WordsInto(pe.words)
+			copy(buf[r.off:r.off+r.count], pe.words[:r.count])
 		}
 		wire.PutMessage(resp)
 	}
+}
+
+// sendAsync issues a request of the current transfer without waiting for
+// its reply (which will arrive in the persistent reply mailbox, matched by
+// the returned Seq).
+func (pe *PE) sendAsync(dst int, m *wire.Message) uint64 {
+	k := pe.k
+	m.Src = int32(k.id)
+	m.Dst = int32(dst)
+	seq, dead := k.addPending(pe.replyMb, dst)
+	if dead {
+		pe.dropTransferPending()
+		panic(&PeerDownError{PE: k.id, Peer: dst, Op: m.Op.String()})
+	}
+	m.Seq = seq
+	pe.app.Send(dst, m)
+	return seq
 }
 
 // takeTransfer blocks on the reply mailbox for the next transfer reply,
-// panicking on timeout, shutdown or a peer-down notice for one of the
-// transfer's outstanding requests.
+// panicking with a *TimeoutError, *ShutdownError or — on a peer-down
+// notice for one of the transfer's outstanding requests — *PeerDownError.
 func (pe *PE) takeTransfer(op wire.Op) *wire.Message {
-	k := pe.k
 	for {
-		var resp *wire.Message
-		var ok bool
-		if d := k.requestTimeout(); d > 0 {
-			var timedOut bool
-			resp, ok, timedOut = pe.replyMb.TakeTimeout(d)
-			if timedOut {
-				pe.dropTransferPending()
-				panic(fmt.Sprintf("core: PE %d: %v transfer timed out after %v", k.id, op, d))
-			}
-		} else {
-			resp, ok = pe.replyMb.Take()
-		}
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down during %v request", k.id, op))
-		}
-		if resp.Op == wire.OpPeerDown {
+		resp, err := pe.take(pe.replyMb, pe.k.requestTimeout(), op.String(), -1, 1)
+		if err == nil && resp.Op == wire.OpPeerDown {
 			peer, seq := int(resp.Src), resp.Seq
 			wire.PutMessage(resp)
-			if !pe.transferSeq(seq) {
+			if pe.outstanding(seq) == nil {
 				pe.extra.StaleReplies++ // notice for an older, non-transfer request
 				continue
 			}
+			err = &PeerDownError{PE: pe.k.id, Peer: peer, Op: op.String()}
+		}
+		if err != nil {
 			pe.dropTransferPending()
-			panic(fmt.Sprintf("core: PE %d: %v transfer failed: peer %d is down", k.id, op, peer))
+			panic(err)
 		}
 		return resp
 	}
 }
 
-// transferSeq reports whether seq belongs to an outstanding (not yet done)
-// request of the current transfer.
-func (pe *PE) transferSeq(seq uint64) bool {
+// outstanding returns the not-yet-answered request of the current transfer
+// with seq, or nil (stale residue — the caller discards it).
+func (pe *PE) outstanding(seq uint64) *homeReq {
 	for i := range pe.reqs {
 		if pe.reqs[i].seq == seq && !pe.reqs[i].done {
-			return true
+			return &pe.reqs[i]
 		}
 	}
-	return false
+	return nil
 }
 
 // dropTransferPending forgets the still-outstanding requests of an aborted
@@ -1176,294 +1182,152 @@ func (pe *PE) dropTransferPending() {
 	}
 }
 
-// findReq marks the outstanding request with seq done and returns it; nil
-// means seq matches none of them (stale residue — the caller discards it).
-func (pe *PE) findReq(seq uint64) *homeReq {
-	for i := range pe.reqs {
-		if pe.reqs[i].seq == seq && !pe.reqs[i].done {
-			pe.reqs[i].done = true
-			return &pe.reqs[i]
+// readVector reads the words of ws into out through the home-served
+// protocol (strong, or release with the PE's own buffered writes overlaid
+// afterwards — the block-read half of read-your-writes between sync edges).
+// Every word is recorded as one read sharing the operation's interval; the
+// history records the overlaid values, which are what the application saw.
+func (pe *PE) readVector(ws wordSet, out []int64, mode uint8) {
+	var t0 sim.Time
+	if pe.hist != nil {
+		t0 = pe.app.Now()
+	}
+	pe.plan(wire.OpReadV, ws, out)
+	pe.transfer(wire.OpReadV, out)
+	if mode == uint8(gmem.ModeRelease) && pe.wc.Len() > 0 {
+		for i := range out {
+			if v, ok := pe.wc.Lookup(ws.at(i)); ok {
+				out[i] = v
+			}
 		}
 	}
-	return nil
+	pe.recordReads(ws, out, t0, mode, nil)
+}
+
+// recordReads logs one read event per word of a completed vector read; the
+// words share the operation's invocation/response interval. le, when
+// non-nil, marks the words lease-served: Arg1/Arg2 carry the grant and
+// expiry instants the checker's lease rules bound staleness with.
+func (pe *PE) recordReads(ws wordSet, out []int64, t0 sim.Time, mode uint8, le *leaseEntry) {
+	if pe.hist == nil {
+		return
+	}
+	ev := check.Event{Kind: check.KindRead, Mode: mode, Inv: t0, Resp: pe.app.Now()}
+	if le != nil {
+		ev.Cached, ev.Arg1, ev.Arg2 = true, int64(le.grant), int64(le.until)
+	}
+	for i, v := range out {
+		ev.Addr, ev.Out = ws.at(i), v
+		pe.hist.Add(ev)
+	}
+}
+
+// writeVector stores src over the words of ws through the home-served
+// strong protocol (mode tags the events): one in-flight write event per
+// word, own-home runs applied locally, the rest pipelined, and every event
+// completed once the last ack is in.
+func (pe *PE) writeVector(ws wordSet, src []int64, mode uint8) {
+	first := -1
+	if pe.hist != nil {
+		t0 := pe.app.Now()
+		for i, v := range src {
+			idx := pe.hist.Begin(check.Event{
+				Kind: check.KindWrite, Addr: ws.at(i), Arg1: v, Mode: mode, Inv: t0,
+			})
+			if first < 0 {
+				first = idx
+			}
+		}
+	}
+	pe.plan(wire.OpWriteV, ws, src)
+	pe.transfer(wire.OpWriteV, src)
+	if pe.hist != nil {
+		// Begin hands out contiguous indices, so the events are
+		// first..first+len(src)-1.
+		resp := pe.app.Now()
+		for i := range src {
+			pe.hist.Complete(first+i, 0, true, resp)
+		}
+	}
+}
+
+// byMode calls fn for each maximal single-mode piece [off, off+count) of
+// the n words at addr.
+func (pe *PE) byMode(addr uint64, n int, fn func(mode uint8, off, count int)) {
+	if m, uni := pe.modes.Uniform(addr, n); uni {
+		fn(uint8(m), 0, n)
+		return
+	}
+	pe.modes.ModeRuns(addr, n, func(m gmem.Mode, start uint64, count int) {
+		fn(uint8(m), int(start-addr), count)
+	})
 }
 
 // GMReadBlock reads n words starting at addr, splitting the range across
 // homes as needed. All runs homed at one kernel travel in a single
 // (vectored, if more than one run) request, and the per-home requests are
 // pipelined. Block reads bypass the read cache (they are always served
-// fresh by the homes).
+// fresh by the homes); lease-mode pieces are served from block leases.
 func (pe *PE) GMReadBlock(addr uint64, n int) []int64 {
 	if err := pe.nsCheck("read-block", addr, n); err != nil {
 		panic(err)
 	}
 	pe.legacyCrossing()
 	out := make([]int64, n)
-	if m, uni := pe.modes.Uniform(addr, n); uni {
-		pe.readBlockInto(out, addr, uint8(m))
-	} else {
-		pe.modes.ModeRuns(addr, n, func(m gmem.Mode, start uint64, count int) {
-			off := start - addr
-			pe.readBlockInto(out[off:off+uint64(count)], start, uint8(m))
-		})
-	}
-	return out
-}
-
-// readBlockInto reads len(out) words starting at addr through the protocol
-// of the given mode: strong and release share the home-served vectored path
-// (release overlays the PE's own buffered writes afterwards), lease serves
-// whole blocks from the lease cache.
-func (pe *PE) readBlockInto(out []int64, addr uint64, mode uint8) {
-	if mode == uint8(gmem.ModeLease) {
-		pe.readLeaseRange(out, addr)
-		return
-	}
-	k := pe.k
-	n := len(out)
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	pe.vruns = pe.vruns[:0]
-	k.homeRuns(addr, n, func(home int, start uint64, count int) {
-		off := int(start - addr)
-		if home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.ReadInto(out[off:off+count], start)
-			return
+	pe.byMode(addr, n, func(mode uint8, off, count int) {
+		a, dst := addr+uint64(off), out[off:off+count]
+		if mode != uint8(gmem.ModeLease) {
+			pe.readVector(wordRange(a, count), dst, mode)
+		} else if err := pe.readLeaseRange(dst, a); err != nil {
+			panic(err)
 		}
-		pe.extra.RemoteGM++
-		pe.vruns = append(pe.vruns, vrun{
-			home: home, shard: k.space.ShardOf(start, k.nshards),
-			start: start, count: count, off: off,
-		})
 	})
-	if len(pe.vruns) == 0 {
-		pe.overlayWC(out, addr, mode)
-		pe.recordBlockRead(addr, out, t0, mode)
-		return
-	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, int64(r.count)
-		} else {
-			req.Op = wire.OpReadV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendRange(r.start, r.count)
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitGather(out)
-	pe.overlayWC(out, addr, mode)
-	pe.recordBlockRead(addr, out, t0, mode)
-}
-
-// overlayWC merges the PE's own buffered release-mode writes over a fetched
-// range — the block-read half of read-your-writes between sync edges. The
-// history records the overlaid values: they are what the application saw.
-func (pe *PE) overlayWC(out []int64, addr uint64, mode uint8) {
-	if mode != uint8(gmem.ModeRelease) || pe.wc.Len() == 0 {
-		return
-	}
-	for i := range out {
-		if v, ok := pe.wc.Lookup(addr + uint64(i)); ok {
-			out[i] = v
-		}
-	}
-}
-
-// readLeaseRange serves a lease-mode range read block by block from the
-// lease cache, fetching leases on misses; own-home blocks read the segment
-// directly (fresh, so strong-bounded, like readLease).
-func (pe *PE) readLeaseRange(out []int64, addr uint64) {
-	k := pe.k
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	bw := uint64(k.space.BlockWords)
-	end := addr + uint64(len(out))
-	for base := addr - addr%bw; base < end; base += bw {
-		lo, hi := base, base+bw
-		if lo < addr {
-			lo = addr
-		}
-		if hi > end {
-			hi = end
-		}
-		if k.homeOf(base) == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.ReadInto(out[lo-addr:hi-addr], lo)
-			pe.recordBlockRead(lo, out[lo-addr:hi-addr], t0, uint8(gmem.ModeLease))
-			continue
-		}
-		le := pe.leaseHit(base)
-		if le == nil {
-			var err error
-			if le, err = pe.fetchLease(base); err != nil {
-				panic(err.Error())
-			}
-		} else {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-		}
-		copy(out[lo-addr:hi-addr], le.words[lo-base:hi-base])
-		if pe.hist != nil {
-			resp := pe.app.Now()
-			for a := lo; a < hi; a++ {
-				pe.hist.Add(check.Event{
-					Kind: check.KindRead, Addr: a, Out: out[a-addr], Cached: true,
-					Mode: uint8(gmem.ModeLease), Arg1: int64(le.grant), Arg2: int64(le.until),
-					Inv: t0, Resp: resp,
-				})
-			}
-		}
-	}
-}
-
-// recordBlockRead logs one read event per word of a completed block read;
-// the words share the block operation's invocation/response interval.
-func (pe *PE) recordBlockRead(addr uint64, out []int64, t0 sim.Time, mode uint8) {
-	if pe.hist == nil {
-		return
-	}
-	resp := pe.app.Now()
-	for i, v := range out {
-		pe.hist.Add(check.Event{
-			Kind: check.KindRead, Addr: addr + uint64(i), Out: v, Mode: mode, Inv: t0, Resp: resp,
-		})
-	}
-}
-
-// beginBlockWrite logs one in-flight write event per word of a block write
-// and returns the index of the first; the indices are contiguous, so
-// completeBlock(first, len(words)) closes them all.
-func (pe *PE) beginBlockWrite(addr uint64, words []int64, mode uint8) int {
-	if pe.hist == nil {
-		return -1
-	}
-	t0 := pe.app.Now()
-	first := -1
-	for i, v := range words {
-		idx := pe.hist.Begin(check.Event{
-			Kind: check.KindWrite, Addr: addr + uint64(i), Arg1: v, Mode: mode, Inv: t0,
-		})
-		if first < 0 {
-			first = idx
-		}
-	}
-	return first
-}
-
-// completeBlock marks the n contiguous events starting at first successful.
-func (pe *PE) completeBlock(first, n int) {
-	if pe.hist == nil {
-		return
-	}
-	resp := pe.app.Now()
-	for i := 0; i < n; i++ {
-		pe.hist.Complete(first+i, 0, true, resp)
-	}
+	return out
 }
 
 // GMWriteBlock stores words starting at addr, splitting across homes; all
 // runs homed at one kernel travel in a single (vectored, if more than one
-// run) request, and the per-home requests are pipelined.
+// run) request, and the per-home requests are pipelined. Release-mode
+// pieces are buffered locally until the next sync edge publishes them.
 func (pe *PE) GMWriteBlock(addr uint64, words []int64) {
 	if err := pe.nsCheck("write-block", addr, len(words)); err != nil {
 		panic(err)
 	}
 	pe.legacyCrossing()
-	if m, uni := pe.modes.Uniform(addr, len(words)); uni {
-		pe.writeBlockRange(addr, words, uint8(m))
-	} else {
-		pe.modes.ModeRuns(addr, len(words), func(m gmem.Mode, start uint64, count int) {
-			off := start - addr
-			pe.writeBlockRange(start, words[off:off+uint64(count)], uint8(m))
-		})
-	}
+	pe.byMode(addr, len(words), func(mode uint8, off, count int) {
+		a, src := addr+uint64(off), words[off:off+count]
+		switch mode {
+		case uint8(gmem.ModeRelease):
+			pe.bufferWrites(a, src)
+			return
+		case uint8(gmem.ModeLease):
+			pe.dropLeases(a, count)
+		}
+		pe.writeVector(wordRange(a, count), src, mode)
+	})
 }
 
-// writeBlockRange stores words starting at addr through the given mode's
-// write protocol: release buffers every word locally (the next sync edge
-// publishes them coalesced), the other modes run the home-served vectored
-// path.
-func (pe *PE) writeBlockRange(addr uint64, words []int64, mode uint8) {
-	k := pe.k
-	if mode == uint8(gmem.ModeRelease) {
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		if pe.hist != nil {
-			now := pe.app.Now()
-			for i, v := range words {
-				idx := pe.hist.Begin(check.Event{
-					Kind: check.KindWrite, Addr: addr + uint64(i), Arg1: v,
-					Mode: mode, Inv: now,
-				})
-				pe.hist.Complete(idx, 0, true, now)
+// vectorGuard is the PE-side prologue of a gather or scatter: the namespace
+// check runs all-or-nothing up front, like the kernel-side scan, and the
+// result reports whether every address is strong — the vectored paths
+// aggregate strong accesses only.
+func (pe *PE) vectorGuard(op string, addrs []uint64) (strong bool) {
+	if pe.ns.Limit != 0 {
+		for _, a := range addrs {
+			if err := pe.nsCheck(op, a, 1); err != nil {
+				panic(err)
 			}
 		}
-		for i, v := range words {
-			pe.wc.Put(addr+uint64(i), v)
-		}
-		return
 	}
-	if mode == uint8(gmem.ModeLease) {
-		pe.dropLeases(addr, len(words))
+	if pe.modes.AllStrong() {
+		return true
 	}
-	first := pe.beginBlockWrite(addr, words, mode)
-	pe.vruns = pe.vruns[:0]
-	k.homeRuns(addr, len(words), func(home int, start uint64, count int) {
-		off := int(start - addr)
-		if k.cache == nil && home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.Write(start, words[off:off+count])
-			return
+	for _, a := range addrs {
+		if pe.modes.Lookup(a) != gmem.ModeStrong {
+			return false
 		}
-		pe.extra.RemoteGM++
-		pe.vruns = append(pe.vruns, vrun{
-			home: home, shard: k.space.ShardOf(start, k.nshards),
-			start: start, count: count, off: off,
-		})
-		if k.cache != nil {
-			k.cache.Invalidate(start)
-		}
-	})
-	if len(pe.vruns) == 0 {
-		pe.completeBlock(first, len(words))
-		return
 	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr = wire.OpWrite, r.start
-			req.PutWords(words[r.off : r.off+r.count])
-		} else {
-			req.Op = wire.OpWriteV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendWriteRun(r.start, words[r.off:r.off+r.count])
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitAcks(words)
-	pe.completeBlock(first, len(words))
+	return true
 }
 
 // GMGather reads the words at the given (arbitrary, possibly scattered)
@@ -1472,114 +1336,18 @@ func (pe *PE) writeBlockRange(addr uint64, words []int64, mode uint8) {
 // cache. The fine-grained-access aggregation standard in user-level DSMs:
 // one message per home instead of one per word.
 func (pe *PE) GMGather(addrs []uint64) []int64 {
-	if pe.ns.Limit != 0 {
-		// All-or-nothing up front, like the kernel-side scan.
-		for _, a := range addrs {
-			if err := pe.nsCheck("gather", a, 1); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if pe.nonStrongMode(addrs) {
+	out := make([]int64, len(addrs))
+	if !pe.vectorGuard("gather", addrs) {
 		// Rare mixed-mode gather: serve each address through its mode's
 		// scalar path (WC overlay, leases) at the cost of aggregation.
-		out := make([]int64, len(addrs))
 		for i, a := range addrs {
 			out[i] = pe.GMRead(a)
 		}
 		return out
 	}
 	pe.legacyCrossing()
-	k := pe.k
-	var t0 sim.Time
-	if pe.hist != nil {
-		t0 = pe.app.Now()
-	}
-	out := make([]int64, len(addrs))
-	pe.vruns = pe.vruns[:0]
-	for i, addr := range addrs {
-		if home := k.homeOf(addr); home != k.id {
-			pe.extra.RemoteGM++
-			pe.vruns = append(pe.vruns, vrun{
-				home: home, shard: k.space.ShardOf(addr, k.nshards),
-				start: addr, count: 1, off: i,
-			})
-			continue
-		}
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		out[i] = k.seg.ReadWord(addr)
-	}
-	if len(pe.vruns) == 0 {
-		pe.recordGather(addrs, out, t0)
-		return out
-	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr, req.Arg1 = wire.OpRead, r.start, 1
-		} else {
-			req.Op = wire.OpReadV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendRange(r.start, 1)
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitGather(out)
-	pe.recordGather(addrs, out, t0)
+	pe.readVector(wordList(addrs), out, 0)
 	return out
-}
-
-// nonStrongMode reports whether any of addrs is in a non-strong mode — the
-// vectored gather/scatter paths aggregate strong accesses only.
-func (pe *PE) nonStrongMode(addrs []uint64) bool {
-	if pe.modes.AllStrong() {
-		return false
-	}
-	for _, a := range addrs {
-		if pe.modes.Lookup(a) != gmem.ModeStrong {
-			return true
-		}
-	}
-	return false
-}
-
-// recordGather logs one read event per gathered address.
-func (pe *PE) recordGather(addrs []uint64, out []int64, t0 sim.Time) {
-	if pe.hist == nil {
-		return
-	}
-	resp := pe.app.Now()
-	for i, a := range addrs {
-		pe.hist.Add(check.Event{
-			Kind: check.KindRead, Addr: a, Out: out[i], Inv: t0, Resp: resp,
-		})
-	}
-}
-
-// beginScatter logs one in-flight write event per scattered address and
-// returns the first index (contiguous, like beginBlockWrite).
-func (pe *PE) beginScatter(addrs []uint64, vals []int64) int {
-	if pe.hist == nil {
-		return -1
-	}
-	t0 := pe.app.Now()
-	first := -1
-	for i, a := range addrs {
-		idx := pe.hist.Begin(check.Event{
-			Kind: check.KindWrite, Addr: a, Arg1: vals[i], Inv: t0,
-		})
-		if first < 0 {
-			first = idx
-		}
-	}
-	return first
 }
 
 // GMScatter stores vals[i] at addrs[i] for every i. All addresses homed at
@@ -1589,14 +1357,7 @@ func (pe *PE) GMScatter(addrs []uint64, vals []int64) {
 	if len(addrs) != len(vals) {
 		panic("core: GMScatter length mismatch")
 	}
-	if pe.ns.Limit != 0 {
-		for _, a := range addrs {
-			if err := pe.nsCheck("scatter", a, 1); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if pe.nonStrongMode(addrs) {
+	if !pe.vectorGuard("scatter", addrs) {
 		// Mixed-mode scatter: each element through its mode's scalar path.
 		for i, a := range addrs {
 			pe.GMWrite(a, vals[i])
@@ -1604,49 +1365,7 @@ func (pe *PE) GMScatter(addrs []uint64, vals []int64) {
 		return
 	}
 	pe.legacyCrossing()
-	k := pe.k
-	first := pe.beginScatter(addrs, vals)
-	pe.vruns = pe.vruns[:0]
-	for i, addr := range addrs {
-		if home := k.homeOf(addr); home != k.id || k.cache != nil {
-			pe.extra.RemoteGM++
-			pe.vruns = append(pe.vruns, vrun{
-				home: home, shard: k.space.ShardOf(addr, k.nshards),
-				start: addr, count: 1, off: i,
-			})
-			if k.cache != nil {
-				k.cache.Invalidate(addr)
-			}
-			continue
-		}
-		pe.app.LocalAccess()
-		pe.extra.LocalGM++
-		k.seg.WriteWord(addr, vals[i])
-	}
-	if len(pe.vruns) == 0 {
-		pe.completeBlock(first, len(addrs))
-		return
-	}
-	pe.groupRunsByHome()
-	for i := range pe.reqs {
-		g := &pe.reqs[i]
-		req := wire.GetMessage()
-		if g.hi-g.lo == 1 {
-			r := pe.hruns[g.lo]
-			req.Op, req.Addr = wire.OpWrite, r.start
-			req.PutWords(vals[r.off : r.off+1])
-		} else {
-			req.Op = wire.OpWriteV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendWriteRun(r.start, vals[r.off:r.off+1])
-			}
-		}
-		req.Shard = uint8(g.shard)
-		g.seq = pe.sendAsync(pe.hruns[g.lo].home, req)
-		wire.PutMessage(req)
-	}
-	pe.awaitAcks(vals)
-	pe.completeBlock(first, len(addrs))
+	pe.writeVector(wordList(addrs), vals, 0)
 }
 
 // --- Global memory: float64 convenience ---
@@ -1713,59 +1432,30 @@ func (pe *PE) flushWC(fenceInv sim.Time) {
 		pe.flv = append(pe.flv, v)
 	})
 	pe.extra.WCFlushes++
-	pe.vruns = pe.vruns[:0]
-	bw := uint64(k.space.BlockWords)
-	for i := 0; i < len(pe.fl); {
-		addr := pe.fl[i]
-		blockEnd := addr - addr%bw + bw
-		j := i + 1
-		for j < len(pe.fl) && pe.fl[j] == pe.fl[j-1]+1 && pe.fl[j] < blockEnd {
-			j++
-		}
-		home := k.homeOf(addr)
-		if k.cache == nil && home == k.id {
-			pe.app.LocalAccess()
-			pe.extra.LocalGM++
-			k.seg.Write(addr, pe.flv[i:j])
-		} else {
-			pe.extra.RemoteGM++
-			pe.vruns = append(pe.vruns, vrun{
-				home: home, shard: k.space.ShardOf(addr, k.nshards),
-				start: addr, count: j - i, off: i,
-			})
-			if k.cache != nil {
-				k.cache.Invalidate(addr)
-			}
-		}
-		i = j
-	}
+	// The drain is ascending, so runs of consecutive words coalesce within
+	// each block; the issue loop below stays synchronous, per (home, shard).
+	pe.plan(wire.OpFlushV, wordSet{addrs: pe.fl, n: len(pe.fl), coalesce: true}, pe.flv)
+	pe.groupRunsByHome()
 	ok := true
-	if len(pe.vruns) > 0 {
-		pe.groupRunsByHome()
-		for gi := range pe.reqs {
-			g := &pe.reqs[gi]
-			req := wire.GetMessage()
-			req.Op = wire.OpFlushV
-			for _, r := range pe.hruns[g.lo:g.hi] {
-				req.AppendWriteRun(r.start, pe.flv[r.off:r.off+r.count])
-			}
-			req.Shard = uint8(g.shard)
-			resp, err := pe.requestErr(pe.hruns[g.lo].home, req)
-			wire.PutMessage(req)
-			if err != nil {
-				ok = false
-				if _, down := err.(*PeerDownError); !down {
-					// The home may still be alive: keep its words buffered and
-					// retry this part of the flush at the next sync edge.
-					for _, r := range pe.hruns[g.lo:g.hi] {
-						for w := 0; w < r.count; w++ {
-							pe.wc.Put(r.start+uint64(w), pe.flv[r.off+w])
-						}
-					}
-				}
-				continue
-			}
+	for gi := range pe.reqs {
+		g := &pe.reqs[gi]
+		req := transferReq(wire.OpFlushV, pe.hruns[g.lo:g.hi], pe.flv)
+		req.Shard = uint8(g.shard)
+		resp, err := pe.requestErr(pe.hruns[g.lo].home, req)
+		wire.PutMessage(req)
+		if err == nil {
 			wire.PutMessage(resp)
+			continue
+		}
+		ok = false
+		if _, down := err.(*PeerDownError); !down {
+			// The home may still be alive: keep its words buffered and
+			// retry this part of the flush at the next sync edge.
+			for _, r := range pe.hruns[g.lo:g.hi] {
+				for w := 0; w < r.count; w++ {
+					pe.wc.Put(r.start+uint64(w), pe.flv[r.off+w])
+				}
+			}
 		}
 	}
 	if pe.hist != nil && ok {
@@ -1804,11 +1494,7 @@ func (pe *PE) BarrierID(id int32) {
 	arrive.Op, arrive.Src, arrive.Dst, arrive.Tag = wire.OpBarrierArrive, int32(k.id), int32(dst), id
 	pe.app.Send(dst, arrive)
 	wire.PutMessage(arrive)
-	m := pe.takeSync()
-	if m.Op != wire.OpBarrierRelease || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected barrier %d release, got %v", k.id, id, m))
-	}
-	wire.PutMessage(m)
+	pe.awaitGrant(wire.OpBarrierRelease, id)
 	end := pe.app.Now()
 	pe.extra.WaitTime += end - start
 	pe.extra.BarrierWait.Observe(end - start)
@@ -1833,11 +1519,7 @@ func (pe *PE) Lock(id int32) {
 	pe.extra.Locks++
 	start := pe.app.Now()
 	pe.sendSync(wire.OpLockAcquire, id)
-	m := pe.takeSync()
-	if m.Op != wire.OpLockGrant || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected lock %d grant, got %v", pe.k.id, id, m))
-	}
-	wire.PutMessage(m)
+	pe.awaitGrant(wire.OpLockGrant, id)
 	end := pe.app.Now()
 	pe.extra.WaitTime += end - start
 	pe.extra.LockWait.Observe(end - start)
@@ -1876,11 +1558,7 @@ func (pe *PE) SemWait(id int32) {
 	pe.legacyCrossing()
 	start := pe.app.Now()
 	pe.sendSync(wire.OpSemWait, id)
-	m := pe.takeSync()
-	if m.Op != wire.OpSemGrant || m.Tag != id {
-		panic(fmt.Sprintf("core: PE %d: expected sem %d grant, got %v", pe.k.id, id, m))
-	}
-	wire.PutMessage(m)
+	pe.awaitGrant(wire.OpSemGrant, id)
 	pe.extra.WaitTime += pe.app.Now() - start
 	// Acquire edge, like a lock grant.
 	pe.clearLeases()
@@ -1903,7 +1581,10 @@ func (pe *PE) sendSync(op wire.Op, id int32) {
 	wire.PutMessage(m)
 }
 
-func (pe *PE) takeSync() *wire.Message {
+// awaitGrant blocks on the synchronisation mailbox for the kernel's answer
+// to a synchronisation request — op (a release or grant) for object id —
+// panicking with a typed error when the wait cannot complete.
+func (pe *PE) awaitGrant(op wire.Op, id int32) {
 	d := pe.k.requestTimeout()
 	if pe.k.cfg.Ckpt != nil {
 		// Under checkpoint/restart the kernels wake blocked sync waits with
@@ -1914,22 +1595,9 @@ func (pe *PE) takeSync() *wire.Message {
 		// wedge the wake cannot break.
 		d = 0
 	}
-	var m *wire.Message
-	if d > 0 {
-		var ok, timedOut bool
-		m, ok, timedOut = pe.k.syncMb.TakeTimeout(d)
-		if timedOut {
-			panic(fmt.Sprintf("core: PE %d: synchronisation wait timed out after %v", pe.k.id, d))
-		}
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down during synchronisation", pe.k.id))
-		}
-	} else {
-		var ok bool
-		m, ok = pe.k.syncMb.Take()
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down during synchronisation", pe.k.id))
-		}
+	m, err := pe.take(pe.k.syncMb, d, "sync-wait", -1, 1)
+	if err != nil {
+		panic(err)
 	}
 	if m.Op == wire.OpPeerDown {
 		// A peer died while we were blocked (kernels feed this only under
@@ -1940,7 +1608,10 @@ func (pe *PE) takeSync() *wire.Message {
 		wire.PutMessage(m)
 		panic(&PeerDownError{PE: pe.k.id, Peer: peer, Op: "sync-wait"})
 	}
-	return m
+	if m.Op != op || m.Tag != id {
+		panic(fmt.Sprintf("core: PE %d: expected %v for %d, got %v", pe.k.id, op, id, m))
+	}
+	wire.PutMessage(m)
 }
 
 // --- Coordinated checkpoint/restart ---
@@ -2133,22 +1804,9 @@ func (pe *PE) RecvMsg(tag int32) (src int, payload []byte) {
 	pe.legacyCrossing()
 	mb := pe.k.userMb(tag)
 	start := pe.app.Now()
-	var m *wire.Message
-	if d := pe.k.requestTimeout(); d > 0 {
-		var ok, timedOut bool
-		m, ok, timedOut = mb.TakeTimeout(d)
-		if timedOut {
-			panic(fmt.Sprintf("core: PE %d: RecvMsg(tag=%d) timed out after %v", pe.k.id, tag, d))
-		}
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down in RecvMsg", pe.k.id))
-		}
-	} else {
-		var ok bool
-		m, ok = mb.Take()
-		if !ok {
-			panic(fmt.Sprintf("core: PE %d: cluster shut down in RecvMsg", pe.k.id))
-		}
+	m, err := pe.take(mb, pe.k.requestTimeout(), "recv-msg", -1, 1)
+	if err != nil {
+		panic(err)
 	}
 	pe.extra.WaitTime += pe.app.Now() - start
 	return int(m.Src), m.Data
@@ -2185,7 +1843,7 @@ func (pe *PE) Processes() []procmgmt.Entry {
 	entries, err := procmgmt.DecodeSnapshot(resp.Data)
 	wire.PutMessage(resp)
 	if err != nil {
-		panic(fmt.Sprintf("core: PE %d: corrupt process table: %v", pe.k.id, err))
+		panic(fmt.Errorf("core: PE %d: corrupt process table: %w", pe.k.id, err))
 	}
 	return entries
 }
@@ -2195,7 +1853,7 @@ func (pe *PE) Processes() []procmgmt.Entry {
 func (pe *PE) Ping(dst int) sim.Duration {
 	d, err := pe.PingErr(dst)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return d
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -148,8 +148,9 @@ func TestSimnetLossBudgetDetectsPeer(t *testing.T) {
 	if ferr == nil {
 		t.Fatal("PE 1 succeeded under total loss")
 	}
-	if !strings.Contains(ferr.Error(), "peer 0 is down") {
-		t.Fatalf("expected peer-down failure, got: %v", ferr)
+	var pd *PeerDownError
+	if !errors.As(ferr, &pd) || pd.Peer != 0 {
+		t.Fatalf("expected a typed peer-down failure naming peer 0, got: %v", ferr)
 	}
 	// Detection fires on the budget's third send: well under the 6 full
 	// timeout+backoff rounds (~1s virtual) retrying to exhaustion costs.
@@ -158,4 +159,30 @@ func TestSimnetLossBudgetDetectsPeer(t *testing.T) {
 	}
 	t.Logf("peer declared down after %v (budget 3 frames, timeout %v, %d retries allowed)",
 		res.Elapsed, cfg.RequestTimeout, cfg.RequestRetries)
+}
+
+// TestTransferTimeoutTyped checks that a pipelined block transfer whose
+// replies never come panics with the typed *TimeoutError, which the run's
+// error keeps visible to errors.As. PE 0 registers with its own kernel, so
+// only the block read to kernel 1 meets the lossy medium.
+func TestTransferTimeoutTyped(t *testing.T) {
+	cfg := simCfg(2)
+	cfg.LossProbability = 1.0
+	cfg.RequestTimeout = 10 * sim.Millisecond
+	res, err := Run(cfg, func(pe *PE) error {
+		if pe.ID() == 0 {
+			pe.GMReadBlock(remoteAddr(t, pe, 1), 4)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var te *TimeoutError
+	if !errors.As(res.Errs[0], &te) {
+		t.Fatalf("expected a typed transfer timeout, got: %v", res.Errs[0])
+	}
+	if te.Op != wire.OpReadV.String() {
+		t.Errorf("timeout names op %q, want the transfer's %q", te.Op, wire.OpReadV.String())
+	}
 }
