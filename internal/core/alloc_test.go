@@ -64,6 +64,14 @@ func TestRemoteWordOpsAllocationFree(t *testing.T) {
 			if route.oneSided && (direct == 0 || ring == 0) {
 				t.Errorf("one-sided route: DirectGM=%d RingGM=%d, want both > 0", direct, ring)
 			}
+			if route.oneSided {
+				// Atomics take the window too: no request, no response.
+				for _, op := range []wire.Op{wire.OpFetchAdd, wire.OpCAS} {
+					if msgs := res.Total.ByOp[op].Msgs; msgs != 0 {
+						t.Errorf("one-sided route: %v sent %d messages, want 0", op, msgs)
+					}
+				}
+			}
 			if !route.oneSided && (direct != 0 || ring != 0) {
 				t.Errorf("message route: DirectGM=%d RingGM=%d, want both 0", direct, ring)
 			}

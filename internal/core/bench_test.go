@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // runBench runs body once over an inproc cluster configured by cfg, b.N
@@ -24,38 +25,87 @@ func runBench(b *testing.B, cfg Config, body Program) *Result {
 	return res
 }
 
-// benchRemoteRead times b.N remote GMReads by PE 0 of a 2-PE cluster pinned
-// to the message route: one kernel shard and no one-sided window or ring,
-// so every read is a request/reply through kernel service, wire codec and
-// mailbox plumbing. It fails if any read was served by the window instead.
-func benchRemoteRead(b *testing.B, cfg Config) {
-	cfg.NumPE, cfg.KernelShards, cfg.DirectReads, cfg.WriteRings = 2, 1, -1, -1
-	res := runBench(b, cfg, func(pe *PE) error {
-		addr := pe.Alloc(64)
-		// Find a word homed at the *other* kernel.
-		for pe.Space().HomeOf(addr) == pe.ID() {
-			addr++
+// routeConfig pins a 2-PE inproc cluster to one GM route for remote words:
+// the message route (one kernel shard, no window or ring, so every remote
+// access is a request/reply through kernel service, wire codec and mailbox
+// plumbing) or the one-sided window (direct reads and atomics on the
+// co-located home's segment).
+func routeConfig(cfg Config, window bool) Config {
+	cfg.NumPE, cfg.WriteRings = 2, -1
+	cfg.KernelShards, cfg.DirectReads = 1, -1
+	if window {
+		cfg.KernelShards, cfg.DirectReads = 2, 1
+	}
+	return cfg
+}
+
+// benchRoute times b.N calls of op by PE 0 on a block homed at PE 1 over
+// the route routeConfig pins, then checks the route's counters so the
+// benchmark cannot quietly drift to the other route: the window must have
+// served every call (DirectGM) with no msgOps message sent, the message
+// route must have sent a msgOps message per call and served none directly.
+func benchRoute(b *testing.B, cfg Config, window bool, op func(pe *PE, addr uint64), msgOps ...wire.Op) {
+	res := runBench(b, routeConfig(cfg, window), func(pe *PE) error {
+		bw := uint64(pe.Space().BlockWords)
+		addr := pe.AllocBlocks(int(2 * bw))
+		if pe.Space().HomeOf(addr) == 0 {
+			addr += bw
 		}
 		pe.Barrier()
 		if pe.ID() == 0 {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pe.GMRead(addr)
+				op(pe, addr)
 			}
 			b.StopTimer()
 		}
 		pe.Barrier()
 		return nil
 	})
-	if res.Total.DirectGM != 0 {
-		b.Fatalf("%d reads took the one-sided window, want the message route only", res.Total.DirectGM)
+	st := &res.PerPE[0]
+	var msgs uint64
+	for _, o := range msgOps {
+		msgs += st.ByOp[o].Msgs
+	}
+	n := uint64(b.N)
+	if window && (st.DirectGM < n || msgs != 0) {
+		b.Fatalf("window route: DirectGM=%d, %v messages=%d for %d ops; want every op direct", st.DirectGM, msgOps, msgs, n)
+	}
+	if !window && (st.DirectGM != 0 || msgs < n) {
+		b.Fatalf("message route: DirectGM=%d, %v messages=%d for %d ops; want every op messaged", st.DirectGM, msgOps, msgs, n)
 	}
 }
+
+func gmRead(pe *PE, addr uint64)        { pe.GMRead(addr) }
+func fetchAdd(pe *PE, addr uint64)      { pe.FetchAdd(addr, 1) }
+func gmReadBlock32(pe *PE, addr uint64) { pe.GMReadBlock(addr, 32) }
 
 // BenchmarkGMRemoteWordRoundTrip measures one remote read request/response
 // through kernel service, wire codec and mailbox plumbing (inproc).
 func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
-	benchRemoteRead(b, Config{})
+	benchRoute(b, Config{}, false, gmRead, wire.OpRead)
+}
+
+// BenchmarkFetchAddRouteMessage and BenchmarkFetchAddRouteWindow time one
+// remote FetchAdd on each route: a request/reply through the home kernel,
+// or the ownership-checked atomic on the co-located home's segment.
+func BenchmarkFetchAddRouteMessage(b *testing.B) {
+	benchRoute(b, Config{}, false, fetchAdd, wire.OpFetchAdd)
+}
+
+func BenchmarkFetchAddRouteWindow(b *testing.B) {
+	benchRoute(b, Config{}, true, fetchAdd, wire.OpFetchAdd)
+}
+
+// BenchmarkBlockReadRouteMessage and BenchmarkBlockReadRouteWindow time one
+// remote 32-word GMReadBlock (one block, so one run) on each route: a
+// request/reply, or the seqlock-validated run copy through the window.
+func BenchmarkBlockReadRouteMessage(b *testing.B) {
+	benchRoute(b, Config{GMBlockWords: 32}, false, gmReadBlock32, wire.OpRead, wire.OpReadV)
+}
+
+func BenchmarkBlockReadRouteWindow(b *testing.B) {
+	benchRoute(b, Config{GMBlockWords: 32}, true, gmReadBlock32, wire.OpRead, wire.OpReadV)
 }
 
 // BenchmarkBarrier measures the central barrier end to end on 4 PEs.
@@ -78,7 +128,8 @@ func BenchmarkBarrier(b *testing.B) {
 // BenchmarkFetchAddPool measures the job-pool primitive under contention:
 // 4 PEs claim b.N jobs from one shared counter, so ns/op is the cluster's
 // time per claimed job whichever PE claimed it. The counter's home claims
-// through its local segment, the others through the message path.
+// through its local segment, the others through the one-sided window where
+// the default config enables it, else the message path.
 func BenchmarkFetchAddPool(b *testing.B) {
 	runBench(b, Config{NumPE: 4}, func(pe *PE) error {
 		counter := pe.Alloc(1)
@@ -111,11 +162,11 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 // BenchmarkRoundTripTracingDisabled is the default path: histograms are
 // always on, span tracing costs one nil check.
 func BenchmarkRoundTripTracingDisabled(b *testing.B) {
-	benchRemoteRead(b, Config{})
+	benchRoute(b, Config{}, false, gmRead, wire.OpRead)
 }
 
 // BenchmarkRoundTripTracingEnabled records a span per round trip on both
 // the requester and home sides.
 func BenchmarkRoundTripTracingEnabled(b *testing.B) {
-	benchRemoteRead(b, Config{Tracing: trace.TracingConfig{Enabled: true, RingSize: 1 << 16}})
+	benchRoute(b, Config{Tracing: trace.TracingConfig{Enabled: true, RingSize: 1 << 16}}, false, gmRead, wire.OpRead)
 }

@@ -151,13 +151,15 @@ type Config struct {
 	// GOMAXPROCS on real transports and to 1 under simulation; values are
 	// clamped to [1, gmem.SegStripes].
 	KernelShards int
-	// DirectReads controls the one-sided read fast path: co-located PEs
-	// (inproc and simulated transports) resolve uncached reads of a remote
-	// home directly from the home's seqlock-protected segment, without a
-	// request/reply message pair. 0 enables it automatically when the
-	// resolved KernelShards > 1; >0 forces it on; <0 forces it off. It is
-	// never active with Caching (reads must reach the directory) or Legacy
-	// (the old organisation has no shared address space), or over TCP.
+	// DirectReads controls the one-sided window: co-located PEs (inproc
+	// and simulated transports) resolve uncached reads — scalar, and each
+	// block-capped run of a block read or gather — and FetchAdd/CAS of a
+	// remote home directly on the home's seqlock-protected segment,
+	// without a request/reply message pair. 0 enables it automatically
+	// when the resolved KernelShards > 1; >0 forces it on; <0 forces it
+	// off. It is never active with Caching (reads must reach the
+	// directory) or Legacy (the old organisation has no shared address
+	// space), or over TCP.
 	DirectReads int
 	// WriteRings controls the one-sided write fast path: co-located PEs
 	// submit uncached writes into a remote home through a per-shard MPSC
@@ -378,8 +380,8 @@ func Run(cfg Config, program Program) (*Result, error) {
 	}
 }
 
-// windowsEnabled decides whether the one-sided direct-read fast path is on
-// for this (fully defaulted) config. Transport co-location is the caller's
+// windowsEnabled decides whether the one-sided window (direct reads and
+// atomics) is on for this (fully defaulted) config. Transport co-location is the caller's
 // side of the bargain: only runSim and runReal-over-inproc wire windows at
 // all, because only there does every kernel's segment live in this process.
 func windowsEnabled(c *Config) bool {
@@ -410,7 +412,7 @@ func ringsEnabled(c *Config) bool {
 	return true
 }
 
-// wireWindows gives every kernel a direct read-only view of every segment,
+// wireWindows gives every kernel a direct view of every segment,
 // and — when the write fast path is on — a reference to every peer kernel
 // so PEs can reach a co-located home's submission rings. Called on every
 // (re)start, so a recovered cluster's fresh segments and rings are rebound

@@ -130,9 +130,9 @@ type Kernel struct {
 	// another shard.
 	invCtr atomic.Uint64
 
-	// windows[i] is kernel i's segment when the one-sided direct-read fast
-	// path is enabled (co-located transports, caching off); nil otherwise.
-	// Read-only after cluster construction.
+	// windows[i] is kernel i's segment when the one-sided window (direct
+	// reads and atomics) is enabled (co-located transports, caching off);
+	// nil otherwise. Read-only after cluster construction.
 	windows []*gmem.Segment
 
 	// ringPeers[i] is kernel i itself when the one-sided write fast path is

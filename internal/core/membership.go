@@ -544,10 +544,12 @@ func (pe *PE) Join() error {
 	}
 	inst := wire.GetMessage()
 	inst.Op, inst.Arg1, inst.Arg2, inst.Addr = wire.OpMigrateInstall, migModeJoin, int64(k.id), gen
+	// resp owns the payload buffer: recycle it only once the install is
+	// done, or a concurrent decode could overwrite a retransmission.
 	inst.Data = resp.Data
-	wire.PutMessage(resp)
 	iresp, err := pe.requestErr(k.id, inst)
 	wire.PutMessage(inst)
+	wire.PutMessage(resp)
 	if err != nil {
 		return err
 	}
@@ -596,10 +598,12 @@ func (pe *PE) Leave() error {
 	}
 	inst := wire.GetMessage()
 	inst.Op, inst.Arg1, inst.Arg2, inst.Addr = wire.OpMigrateInstall, migModeLeave, int64(k.id), gen
+	// resp owns the payload buffer: recycle it only once the install is
+	// done, or a concurrent decode could overwrite a retransmission.
 	inst.Data = resp.Data
-	wire.PutMessage(resp)
 	iresp, err := pe.requestErr(succ, inst)
 	wire.PutMessage(inst)
+	wire.PutMessage(resp)
 	if err != nil {
 		// The handoff is stuck at our escrow; broadcast the transition anyway
 		// so the cluster converges and the escrow re-offer keeps the data
@@ -649,10 +653,12 @@ func (pe *PE) MigrateRange(addr uint64, nblocks, dst int) error {
 		}
 		inst := wire.GetMessage()
 		inst.Op, inst.Arg1, inst.Addr = wire.OpMigrateInstall, migModeBlock, b*bw
+		// resp owns the payload buffer: recycle it only once the install is
+		// done, or a concurrent decode could overwrite a retransmission.
 		inst.Data = resp.Data
-		wire.PutMessage(resp)
 		iresp, err := pe.requestErr(dst, inst)
 		wire.PutMessage(inst)
+		wire.PutMessage(resp)
 		if err != nil {
 			return err
 		}

@@ -260,16 +260,16 @@ func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message
 			case wire.OpRead, wire.OpWrite, wire.OpFetchAdd, wire.OpCAS, wire.OpReadLease:
 				// Cache the new home so later requests skip the bounce. Gated
 				// to the ops whose Addr is a data address.
-				// Never cache a hint naming our OWN kernel: the requester's
-				// hint cache is the kernel's shared directory, which is
-				// authoritative about what this kernel homes. A stale peer's
-				// probe-rule hint would overwrite the override the kernel
-				// installed when it handed the block away, resurrecting
-				// phantom self-ownership — the kernel would lazily recreate
-				// the extracted block and swallow writes into it.
-				if hint != k.id {
-					k.dir.SetOverride(k.space.BlockOf(m.Addr), hint)
-				}
+				// The requester's hint cache is the kernel's shared
+				// directory, which is authoritative about what this kernel
+				// homes, so CacheHint never touches a block whose home is (or
+				// becomes) our OWN kernel. A stale peer's probe-rule hint
+				// naming us would resurrect phantom self-ownership of a block
+				// handed away — the kernel would lazily recreate it and
+				// swallow writes into it; a NACK delayed past our kernel's
+				// adoption of the block would disown it while we hold the
+				// data, and requests would ping-pong between the two homes.
+				k.dir.CacheHint(k.id, k.space.BlockOf(m.Addr), hint)
 			}
 			if k.addPendingSeq(pe.replyMb, hint, seq) {
 				pe.extra.WaitTime += pe.app.Now() - start
@@ -456,7 +456,7 @@ func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 		return v, nil
 	}
 	pe.extra.RemoteGM++
-	if wins := k.windows; wins != nil && !k.deadFlags[home].Load() {
+	if win := k.window(home); win != nil {
 		// One-sided fast path: the home's segment is mapped in this address
 		// space, so resolve the read directly through its seqlock instead of
 		// a request/reply pair. Every word has a single home and the seqlock
@@ -467,7 +467,7 @@ func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 		// the check (the extract bumped the write sequence) and the read
 		// falls through to the message path, which follows the NACK redirect.
 		pe.app.LocalAccess()
-		if v, ok := wins[home].DirectReadOwned(addr); ok {
+		if v, ok := win.DirectReadOwned(addr); ok {
 			pe.extra.DirectGM++
 			pe.recordRead(addr, v, false, t0, mode)
 			return v, nil
@@ -497,6 +497,16 @@ func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 	wire.PutMessage(resp)
 	pe.recordRead(addr, v, false, t0, mode)
 	return v, nil
+}
+
+// window returns home's segment when the one-sided window route is open to
+// it — co-located and uncached (k.windows is wired only then) and the home
+// not known dead — and nil to send the caller down the message path.
+func (k *Kernel) window(home int) *gmem.Segment {
+	if k.windows == nil || k.deadFlags[home].Load() {
+		return nil
+	}
+	return k.windows[home]
 }
 
 // recordRead logs one successful word read into the operation history
@@ -864,32 +874,45 @@ func (pe *PE) atomic(op wire.Op, addr uint64, a1, a2 int64) (int64, bool, error)
 			Kind: kind, Addr: addr, Arg1: a1, Arg2: a2, Mode: mode, Inv: pe.app.Now(),
 		})
 	}
-	prev, ok := int64(0), true
 	home := k.homeOf(addr)
-	if k.cache == nil && home == k.id {
-		pe.localAccess()
-		if op == wire.OpCAS {
-			prev, ok = k.seg.CAS(addr, a1, a2)
-		} else {
-			prev = k.seg.FetchAdd(addr, a1)
-		}
-	} else {
+	// Own home (uncached) or the one-sided window: apply the operation
+	// directly on the home's segment. It completes before this call
+	// returns, so it needs neither a dedup entry nor a checkpoint fence, and
+	// the segment checks ownership under the stripe mutex that Extract takes
+	// after a migration flips the directory. A block migrated away (even
+	// from this PE's own kernel, by a concurrent handoff) or mid handoff
+	// falls through to the message path under a fresh seq.
+	seg, own := k.seg, k.cache == nil && home == k.id
+	if !own {
 		pe.extra.RemoteGM++
-		req := wire.GetMessage()
-		req.Op, req.Addr, req.Arg1, req.Arg2 = op, addr, a1, a2
-		resp, err := pe.requestErr(home, req)
-		wire.PutMessage(req)
-		if err != nil {
-			return 0, false, err
+		seg = k.window(home)
+	}
+	if seg != nil {
+		pe.app.LocalAccess()
+		if prev, ok, owned := seg.AtomicOwned(addr, op == wire.OpCAS, a1, a2); owned {
+			if own {
+				pe.extra.LocalGM++
+			} else {
+				pe.extra.DirectGM++
+			}
+			pe.complete(hidx, prev, ok)
+			return prev, ok, nil
 		}
-		prev = resp.Arg1
-		if op == wire.OpCAS {
-			ok = resp.Arg2 == 1
-		}
-		wire.PutMessage(resp)
-		if k.cache != nil {
-			k.cache.Invalidate(addr)
-		}
+	}
+	if own {
+		pe.extra.RemoteGM++ // the block left this kernel under our feet
+	}
+	req := wire.GetMessage()
+	req.Op, req.Addr, req.Arg1, req.Arg2 = op, addr, a1, a2
+	resp, err := pe.requestErr(home, req)
+	wire.PutMessage(req)
+	if err != nil {
+		return 0, false, err
+	}
+	prev, ok := resp.Arg1, op != wire.OpCAS || resp.Arg2 == 1
+	wire.PutMessage(resp)
+	if k.cache != nil {
+		k.cache.Invalidate(addr)
 	}
 	pe.complete(hidx, prev, ok)
 	return prev, ok, nil
@@ -936,9 +959,10 @@ func (ws wordSet) run(i int, bw uint64) (start uint64, count int) {
 
 // plan is the run planner shared by every vector operation: it walks the
 // runs of ws in order, serving own-home runs from the local segment on the
-// spot and queueing the rest in pe.vruns for the executor. Home lookups
-// interleave with the local accesses, so a directory change that lands
-// while a simulated access yields routes the later runs by the new
+// spot — and, for reads, remote runs through the one-sided window when it
+// is open — and queueing the rest in pe.vruns for the executor. Home
+// lookups interleave with the local accesses, so a directory change that
+// lands while a simulated access yields routes the later runs by the new
 // directory. Reads (op == wire.OpReadV) serve own-home runs even under
 // caching — vector reads bypass the cache — while writes under caching send
 // every run through the home's invalidation machinery and drop the PE's
@@ -959,6 +983,16 @@ func (pe *PE) plan(op wire.Op, ws wordSet, buf []int64) {
 			k.seg.Write(start, buf[i:i+count])
 		default:
 			pe.extra.RemoteGM++
+			if win := k.window(home); win != nil && op == wire.OpReadV {
+				// One-sided run read, charged like the scalar window read;
+				// a run whose block migrated away or is mid handoff stays
+				// queued for the message path.
+				pe.app.LocalAccess()
+				if win.DirectReadRunOwned(buf[i:i+count], start) {
+					pe.extra.DirectGM++
+					break
+				}
+			}
 			pe.vruns = append(pe.vruns, vrun{
 				home: home, shard: k.space.ShardOf(start, k.nshards),
 				start: start, count: count, off: i,

@@ -320,10 +320,8 @@ func (sh *kernelShard) handleGM(m *wire.Message) {
 		sh.handleFlushV(m)
 	case wire.OpReadLease:
 		sh.handleReadLease(m)
-	case wire.OpFetchAdd:
-		sh.handleFetchAdd(m)
-	case wire.OpCAS:
-		sh.handleCAS(m)
+	case wire.OpFetchAdd, wire.OpCAS:
+		sh.handleAtomic(m)
 	case wire.OpInvalidate:
 		sh.handleInvalidate(m)
 	case wire.OpInvAck:
@@ -402,21 +400,26 @@ func (sh *kernelShard) nackIfForeign(m *wire.Message) bool {
 	if foreign < 0 {
 		return false
 	}
-	// The NACK is deliberately NOT cached in the dedup window: forgetting
-	// the in-progress entry the lookup just registered means a retry is
-	// re-evaluated — and applied — once the block lands here, instead of
-	// being answered from a stale cached NACK forever. A retry after a LOST
-	// NACK simply recomputes it (side-effect-free; re-offers are
-	// idempotent).
+	sh.nack(m, foreign)
+	return true
+}
+
+// nack answers m with a migrate NACK hinting home, before anything was
+// applied. The NACK is deliberately NOT cached in the dedup window:
+// forgetting the in-progress entry the lookup just registered means a retry
+// is re-evaluated — and applied — once the block lands here, instead of
+// being answered from a stale cached NACK forever. A retry after a LOST
+// NACK simply recomputes it (side-effect-free; re-offers are idempotent).
+func (sh *kernelShard) nack(m *wire.Message, home int) {
+	k := sh.k
 	if isMutating(m.Op) {
 		sh.dedup.forget(m.Src, m.Seq)
 	}
 	resp := wire.GetMessage()
-	resp.Op, resp.Arg1 = wire.OpMigrateNack, int64(foreign)
+	resp.Op, resp.Arg1 = wire.OpMigrateNack, int64(home)
 	resp.Src, resp.Dst, resp.Seq = int32(k.id), m.Src, m.Seq
 	k.svc.Send(int(m.Src), resp)
 	wire.PutMessage(resp)
-	return true
 }
 
 // reOffer fire-and-forgets an escrowed block to its migration destination.
@@ -628,12 +631,28 @@ func (sh *kernelShard) handleReadLease(m *wire.Message) {
 	sh.reply(m, resp)
 }
 
-func (sh *kernelShard) handleFetchAdd(m *wire.Message) {
+// handleAtomic serves OpFetchAdd and OpCAS. The ownership check
+// nackIfForeign made goes stale if a concurrent handoff flips the directory
+// before the apply, so AtomicOwned rechecks it under the stripe mutex and a
+// block that left meanwhile is NACKed untouched, like any foreign request.
+func (sh *kernelShard) handleAtomic(m *wire.Message) {
 	k := sh.k
-	old := k.seg.FetchAdd(m.Addr, m.Arg1)
-	if k.cache == nil {
+	cas := m.Op == wire.OpCAS
+	prev, ok, owned := k.seg.AtomicOwned(m.Addr, cas, m.Arg1, m.Arg2)
+	if !owned {
+		sh.nack(m, k.dir.HomeOfBlock(k.space.BlockOf(m.Addr)))
+		return
+	}
+	respOp, sw := wire.OpFetchAddResp, int64(0)
+	if cas {
+		respOp = wire.OpCASResp
+		if ok {
+			sw = 1
+		}
+	}
+	if k.cache == nil || !ok {
 		resp := wire.GetMessage()
-		resp.Op, resp.Arg1 = wire.OpFetchAddResp, old
+		resp.Op, resp.Arg1, resp.Arg2 = respOp, prev, sw
 		sh.reply(m, resp)
 		return
 	}
@@ -642,28 +661,7 @@ func (sh *kernelShard) handleFetchAdd(m *wire.Message) {
 	for _, t := range targets {
 		sh.invSends = append(sh.invSends, invSend{addr: m.Addr, dst: t})
 	}
-	sh.finishAfterInvalidations(m, sh.invSends, wire.OpFetchAddResp, old, 0)
-}
-
-func (sh *kernelShard) handleCAS(m *wire.Message) {
-	k := sh.k
-	prev, swapped := k.seg.CAS(m.Addr, m.Arg1, m.Arg2)
-	var sw int64
-	if swapped {
-		sw = 1
-	}
-	if k.cache == nil || !swapped {
-		resp := wire.GetMessage()
-		resp.Op, resp.Arg1, resp.Arg2 = wire.OpCASResp, prev, sw
-		sh.reply(m, resp)
-		return
-	}
-	targets := k.seg.CollectInvalidations(m.Addr, int(m.Src))
-	sh.invSends = sh.invSends[:0]
-	for _, t := range targets {
-		sh.invSends = append(sh.invSends, invSend{addr: m.Addr, dst: t})
-	}
-	sh.finishAfterInvalidations(m, sh.invSends, wire.OpCASResp, prev, sw)
+	sh.finishAfterInvalidations(m, sh.invSends, respOp, prev, sw)
 }
 
 // finishAfterInvalidations acknowledges a mutating request immediately when

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -195,7 +196,8 @@ func TestShardedKernelServesGM(t *testing.T) {
 }
 
 // TestDirectReadFastPath runs the workload with the one-sided window forced
-// on and checks uncached remote scalar reads resolve without messages.
+// on and checks uncached remote reads — scalar, block and gather — and
+// atomics resolve without messages.
 func TestDirectReadFastPath(t *testing.T) {
 	res, err := Run(Config{
 		NumPE: 4, Transport: TransportInproc,
@@ -210,9 +212,73 @@ func TestDirectReadFastPath(t *testing.T) {
 	if res.Total.DirectGM > res.Total.RemoteGM {
 		t.Errorf("DirectGM = %d > RemoteGM = %d", res.Total.DirectGM, res.Total.RemoteGM)
 	}
-	// The scalar GMRead traffic must have vanished from the wire.
-	if msgs := res.Total.ByOp[wire.OpRead].Msgs; msgs != 0 {
-		t.Errorf("OpRead messages = %d, want 0 (all scalar reads direct)", msgs)
+	// The read and atomic traffic must have vanished from the wire.
+	for _, op := range []wire.Op{wire.OpRead, wire.OpReadV, wire.OpFetchAdd} {
+		if msgs := res.Total.ByOp[op].Msgs; msgs != 0 {
+			t.Errorf("%v messages = %d, want 0 (all through the window)", op, msgs)
+		}
+	}
+}
+
+// TestDirectFetchAddRacesMigration has co-located PEs FetchAdd one counter
+// through the window while another PE keeps migrating the counter's block
+// between their kernels. An atomic racing a handoff either lands before the
+// extract (and travels with the snapshot) or fails the ownership check and
+// takes the message path, so every add applies exactly once: the returned
+// old values are exactly 0..total-1 and the final count is exact.
+func TestDirectFetchAddRacesMigration(t *testing.T) {
+	const adds, moves = 1500, 24
+	var mu sync.Mutex
+	seen := make(map[int64]int)
+	res, err := Run(Config{
+		NumPE: 3, Transport: TransportInproc,
+		KernelShards: 2, DirectReads: 1,
+	}, func(pe *PE) error {
+		bw := pe.Space().BlockWords
+		counter := pe.AllocBlocks(bw) // block 0, homed at kernel 0
+		pe.Barrier()
+		var err error
+		if pe.ID() == 2 {
+			// The migrator also adds, always from a remote kernel.
+			for i := 0; i < moves; i++ {
+				if err = pe.MigrateRange(counter, 1, 1-i%2); err != nil {
+					break // still reach the barriers: the adders wait there
+				}
+				old := pe.FetchAdd(counter, 1)
+				mu.Lock()
+				seen[old]++
+				mu.Unlock()
+			}
+		} else {
+			olds := make([]int64, adds)
+			for i := range olds {
+				olds[i] = pe.FetchAdd(counter, 1)
+			}
+			mu.Lock()
+			for _, old := range olds {
+				seen[old]++
+			}
+			mu.Unlock()
+		}
+		pe.Barrier()
+		if v, want := pe.GMRead(counter), int64(2*adds+moves); err == nil && v != want {
+			err = fmt.Errorf("PE %d: counter = %d, want %d", pe.ID(), v, want)
+		}
+		pe.Barrier()
+		return err
+	})
+	if err != nil || res.FirstErr() != nil {
+		t.Fatal(err, res.FirstErr())
+	}
+	total := int64(2*adds + moves)
+	for old := int64(0); old < total; old++ {
+		if seen[old] != 1 {
+			t.Fatalf("FetchAdd returned old value %d %d times, want exactly once", old, seen[old])
+		}
+	}
+	if res.Total.Migrations < moves || res.Total.DirectGM == 0 {
+		t.Errorf("Migrations = %d, DirectGM = %d: want %d migrations racing window atomics",
+			res.Total.Migrations, res.Total.DirectGM, moves)
 	}
 }
 

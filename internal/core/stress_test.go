@@ -159,12 +159,14 @@ func TestStressShardSweep(t *testing.T) {
 			})
 			// Recovery leg with the one-sided paths at their defaults
 			// (windows and rings on for shards>1): the restart must rebind
-			// windows and rings to the fresh segments. KillAt is tuned so
-			// the kill lands mid-run even on the fast windows-on schedule
-			// (at 500ms a sharded windows-on run finished before the kill
-			// and no recovery ever fired).
+			// windows and rings to the fresh segments. KillAt and OpsPerPE
+			// are tuned so the kill lands mid-run even on the fast
+			// windows-on schedule: at 500ms, or with 200 ops per PE once
+			// atomics and block reads also took the window, a sharded
+			// windows-on run finished before the kill and no recovery ever
+			// fired.
 			res := runStress(t, stress.Options{
-				Seed: 23, NumPE: 4, OpsPerPE: 200, Recover: true, CkptEvery: 32,
+				Seed: 23, NumPE: 4, OpsPerPE: 600, Recover: true, CkptEvery: 32,
 				KillPE: 2, KillAt: 200 * sim.Millisecond,
 				Shards: shards,
 			})
@@ -244,8 +246,11 @@ func TestStressRingSweep(t *testing.T) {
 				KillPE: 2, KillAt: 100 * sim.Millisecond,
 				Shards: shards, DirectReads: 1, Rings: 1,
 			})
+			// 600 ops per PE keep the run alive past the kill now that
+			// atomics and block reads also take the window (200 finished
+			// first and no recovery fired).
 			res := runStress(t, stress.Options{
-				Seed: 23, NumPE: 4, OpsPerPE: 200, Recover: true, CkptEvery: 32,
+				Seed: 23, NumPE: 4, OpsPerPE: 600, Recover: true, CkptEvery: 32,
 				KillPE: 2, KillAt: 200 * sim.Millisecond,
 				Shards: shards, DirectReads: 1, Rings: 1,
 			})

@@ -16,7 +16,7 @@ func BenchmarkSegmentFetchAdd(b *testing.B) {
 	s := NewSpace(1, 32)
 	g := NewSegment(s, 0)
 	for i := 0; i < b.N; i++ {
-		g.FetchAdd(3, 1)
+		g.AtomicOwned(3, false, 1, 0)
 	}
 }
 

@@ -184,6 +184,33 @@ func (d *Directory) SetOverride(b uint64, home int) {
 	})
 }
 
+// CacheHint records a NACK's new-home hint for block b on behalf of a
+// requester whose directory is kernel self's, unless the hint names self or
+// self currently homes b. A kernel is authoritative about what it homes —
+// it flips a block away itself when handing it off — so a hint naming self
+// would resurrect phantom ownership, and a hint that arrives after self
+// adopted the block is stale and would disown it while self holds the data.
+// The check and the update are one mutation, so the kernel's own flip
+// cannot slip between them.
+func (d *Directory) CacheHint(self int, b uint64, hint int) {
+	if hint == self {
+		return
+	}
+	d.mutate(func(st *dirState) {
+		home, ok := st.overrides[b]
+		if !ok {
+			home = probeHome(st.members, d.n, b)
+		}
+		if home == self {
+			return
+		}
+		if st.overrides == nil {
+			st.overrides = make(map[uint64]int)
+		}
+		st.overrides[b] = hint
+	})
+}
+
 // SetOverrideRange pins n consecutive blocks starting at block b to home.
 func (d *Directory) SetOverrideRange(b uint64, n int, home int) {
 	d.mutate(func(st *dirState) {

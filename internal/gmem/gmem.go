@@ -139,9 +139,10 @@ type stripe struct {
 
 // Segment is the slice of global memory homed at one kernel, plus the
 // caching directory. It is striped SegStripes ways so independent service
-// shards of one kernel mutate disjoint stripes, and it supports a lock-free
-// single-word DirectRead for co-located readers (the one-sided read fast
-// path). Methods are safe for concurrent use.
+// shards of one kernel mutate disjoint stripes, and it supports lock-free
+// seqlock-validated direct reads (one word or one run) and ownership-checked
+// atomics for co-located PEs (the one-sided window). Methods are safe for
+// concurrent use.
 type Segment struct {
 	space   Space
 	self    int
@@ -151,7 +152,7 @@ type Segment struct {
 	// against it, and Extract/Adopt move blocks between segments as homes
 	// migrate. Nil keeps the static Space.HomeOf rule.
 	dir *Directory
-	// fallbacks counts DirectReads that exhausted their seqlock spins and
+	// fallbacks counts direct reads that exhausted their seqlock spins and
 	// took the stripe mutex instead (writer livelock). Observable so tests
 	// can assert the fallback path is actually exercised.
 	fallbacks atomic.Uint64
@@ -289,8 +290,8 @@ func (g *Segment) DirectRead(addr uint64) int64 {
 	return v
 }
 
-// DirectReadFallbacks reports how many DirectReads fell back to the stripe
-// mutex after exhausting their seqlock spins.
+// DirectReadFallbacks reports how many direct reads (scalar or run) fell
+// back to the stripe mutex after exhausting their seqlock spins.
 func (g *Segment) DirectReadFallbacks() uint64 { return g.fallbacks.Load() }
 
 // DirectReadOwned is DirectRead for elastic clusters: instead of panicking
@@ -302,6 +303,19 @@ func (g *Segment) DirectReadFallbacks() uint64 { return g.fallbacks.Load() }
 // is still globally current, or fails validation, rechecks ownership and
 // falls back — it can never return a stale zero from a dropped block.
 func (g *Segment) DirectReadOwned(addr uint64) (int64, bool) {
+	var v [1]int64
+	ok := g.DirectReadRunOwned(v[:], addr)
+	return v[0], ok
+}
+
+// DirectReadRunOwned is DirectReadOwned widened to one run: it copies the
+// len(dst) words starting at addr, which must lie in one block, into dst
+// and reports whether this segment owns that block. The whole run is read
+// inside one seqlock window, so it is never torn: every word comes from the
+// same stripe generation, as a served OpRead of the run would return them.
+// The spin budget and mutex fallback are DirectRead's. On ok=false dst is
+// unspecified.
+func (g *Segment) DirectReadRunOwned(dst []int64, addr uint64) bool {
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
 	off := int(addr % uint64(g.space.BlockWords))
@@ -311,27 +325,34 @@ func (g *Segment) DirectReadOwned(addr uint64) (int64, bool) {
 			continue
 		}
 		if !g.owns(b) {
-			return 0, false
+			return false
 		}
-		var v int64
-		if blk := st.lookup(b); blk != nil {
-			v = atomic.LoadInt64(&blk[off])
-		}
+		loadRun(dst, st.lookup(b), off)
 		if st.wseq.Load() == s1 {
-			return v, true
+			return true
 		}
 	}
 	g.fallbacks.Add(1)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !g.owns(b) {
-		return 0, false
+		return false
 	}
-	var v int64
-	if blk := st.lookup(b); blk != nil {
-		v = blk[off]
+	loadRun(dst, st.lookup(b), off)
+	return true
+}
+
+// loadRun copies blk[off:off+len(dst)] into dst word by word with atomic
+// loads (writers store under the seqlock with atomic stores); a block that
+// was never materialised reads as zeros.
+func loadRun(dst, blk []int64, off int) {
+	if blk == nil {
+		clear(dst)
+		return
 	}
-	return v, true
+	for i := range dst {
+		dst[i] = atomic.LoadInt64(&blk[off+i])
+	}
 }
 
 // Extract atomically snapshots and removes every materialised block for
@@ -533,42 +554,37 @@ func (g *Segment) Write(addr uint64, words []int64) {
 	}
 }
 
-// FetchAdd atomically adds delta to the word at addr, returning the
-// previous value.
-func (g *Segment) FetchAdd(addr uint64, delta int64) int64 {
-	g.checkHome(addr, 1)
+// AtomicOwned applies one read-modify-write to the word at addr: a
+// FetchAdd (cas false, a1 = delta) or a CAS (a1 = expected, a2 = new). It
+// returns the previous value and whether the operation took effect (always
+// true for FetchAdd). It serves the home kernel's own requests and the
+// one-sided window of co-located PEs alike, so instead of panicking on a
+// non-owned address it reports ok=false, telling the caller to NACK or fall
+// back to the message path. Ownership is checked under the stripe mutex,
+// the same mutex Extract takes after a migration flips the directory: an
+// atomic that passes the check is applied before the extract can snapshot
+// the block, so it always travels with the migrated data.
+func (g *Segment) AtomicOwned(addr uint64, cas bool, a1, a2 int64) (prev int64, swapped, ok bool) {
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
 	st.mu.Lock()
-	blk := st.materialise(b, g.space.BlockWords)
-	off := int(addr % uint64(g.space.BlockWords))
-	old := blk[off]
-	st.wseq.Add(1)
-	atomic.StoreInt64(&blk[off], old+delta)
-	st.wseq.Add(1)
-	st.mu.Unlock()
-	return old
-}
-
-// CAS atomically compares-and-swaps the word at addr. It returns the
-// previous value and whether the swap happened.
-func (g *Segment) CAS(addr uint64, old, new int64) (prev int64, swapped bool) {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	st.mu.Lock()
-	blk := st.materialise(b, g.space.BlockWords)
-	off := int(addr % uint64(g.space.BlockWords))
-	prev = blk[off]
-	if prev == old {
-		st.wseq.Add(1)
-		atomic.StoreInt64(&blk[off], new)
-		st.wseq.Add(1)
-		st.mu.Unlock()
-		return prev, true
+	defer st.mu.Unlock()
+	if !g.owns(b) {
+		return 0, false, false
 	}
-	st.mu.Unlock()
-	return prev, false
+	blk := st.materialise(b, g.space.BlockWords)
+	off := int(addr % uint64(g.space.BlockWords))
+	prev, next := blk[off], blk[off]+a1
+	if cas {
+		if prev != a1 {
+			return prev, false, true
+		}
+		next = a2
+	}
+	st.wseq.Add(1)
+	atomic.StoreInt64(&blk[off], next)
+	st.wseq.Add(1)
+	return prev, true, true
 }
 
 // ReadBlockFor returns a copy of the whole block containing addr and

@@ -130,8 +130,8 @@ func TestFetchAddSequential(t *testing.T) {
 	s := NewSpace(1, 8)
 	g := NewSegment(s, 0)
 	for i := int64(0); i < 10; i++ {
-		if old := g.FetchAdd(3, 2); old != 2*i {
-			t.Fatalf("FetchAdd returned %d, want %d", old, 2*i)
+		if old, _, ok := g.AtomicOwned(3, false, 2, 0); !ok || old != 2*i {
+			t.Fatalf("FetchAdd returned %d (ok=%v), want %d", old, ok, 2*i)
 		}
 	}
 	if v := g.Read(3, 1)[0]; v != 20 {
@@ -143,11 +143,11 @@ func TestCASSemantics(t *testing.T) {
 	s := NewSpace(1, 8)
 	g := NewSegment(s, 0)
 	g.Write(0, []int64{5})
-	if prev, ok := g.CAS(0, 4, 9); ok || prev != 5 {
-		t.Fatalf("CAS with wrong old succeeded: prev=%d ok=%v", prev, ok)
+	if prev, sw, _ := g.AtomicOwned(0, true, 4, 9); sw || prev != 5 {
+		t.Fatalf("CAS with wrong old succeeded: prev=%d swapped=%v", prev, sw)
 	}
-	if prev, ok := g.CAS(0, 5, 9); !ok || prev != 5 {
-		t.Fatalf("CAS with right old failed: prev=%d ok=%v", prev, ok)
+	if prev, sw, _ := g.AtomicOwned(0, true, 5, 9); !sw || prev != 5 {
+		t.Fatalf("CAS with right old failed: prev=%d swapped=%v", prev, sw)
 	}
 	if v := g.Read(0, 1)[0]; v != 9 {
 		t.Fatalf("value after CAS = %d", v)
@@ -239,8 +239,8 @@ func TestSegmentModelProperty(t *testing.T) {
 		for _, op := range ops {
 			addr := uint64(op.Addr % 256)
 			if op.IsAdd {
-				old := g.FetchAdd(addr, op.Val)
-				if old != model[addr] {
+				old, _, ok := g.AtomicOwned(addr, false, op.Val, 0)
+				if !ok || old != model[addr] {
 					return false
 				}
 				model[addr] += op.Val

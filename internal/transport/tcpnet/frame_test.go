@@ -75,3 +75,39 @@ func TestFrameUnderHeaderSizeRejected(t *testing.T) {
 		t.Fatal("under-header frame size accepted")
 	}
 }
+
+// loopConn is a read-only net.Conn replaying one encoded frame forever, so a
+// steady-state readFrame loop sees no I/O cost and no allocation of its own.
+type loopConn struct {
+	byteConn
+	frame []byte
+	off   int
+}
+
+func (c *loopConn) Read(p []byte) (int, error) {
+	n := copy(p, c.frame[c.off:])
+	c.off = (c.off + n) % len(c.frame)
+	return n, nil
+}
+
+// TestReadFrameAllocationFree pins the receive path at 0 allocs/frame in
+// steady state: the size prefix used to live in a local array that escaped
+// to the heap through io.ReadFull, one allocation per received frame.
+func TestReadFrameAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector defeats sync.Pool reuse")
+	}
+	m := &wire.Message{Op: wire.OpWriteV, Src: 1, Seq: 42}
+	m.AppendWriteRun(16, []int64{7, 8})
+	conn := &loopConn{frame: frame(m.Encode())}
+	allocs := testing.AllocsPerRun(1000, func() {
+		got, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.PutMessage(got)
+	})
+	if allocs != 0 {
+		t.Errorf("readFrame allocates %v/frame, want 0", allocs)
+	}
+}

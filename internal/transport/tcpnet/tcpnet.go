@@ -390,32 +390,35 @@ func writeFrame(conn net.Conn, m *wire.Message) error {
 	return err
 }
 
+// readFrame reads one length-prefixed frame and decodes it into a pooled
+// message. The size prefix is read into the pooled frame buffer too: a local
+// array would escape to the heap through the io.Reader interface, costing
+// one allocation per received frame.
 func readFrame(conn net.Conn) (*wire.Message, error) {
-	var pre [4]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil {
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	buf := *bp
+	if cap(buf) < wire.HeaderSize {
+		buf = make([]byte, wire.HeaderSize)
+		*bp = buf
+	}
+	if _, err := io.ReadFull(conn, buf[:4]); err != nil {
 		return nil, err
 	}
-	size := binary.LittleEndian.Uint32(pre[:])
+	size := binary.LittleEndian.Uint32(buf[:4])
 	if size < wire.HeaderSize || size > wire.HeaderSize+wire.MaxDataLen {
 		return nil, fmt.Errorf("tcpnet: bad frame size %d", size)
 	}
-	bp := framePool.Get().(*[]byte)
-	buf := *bp
 	if cap(buf) < int(size) {
 		buf = make([]byte, size)
-	} else {
-		buf = buf[:size]
-	}
-	if _, err := io.ReadFull(conn, buf); err != nil {
 		*bp = buf
-		framePool.Put(bp)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(conn, buf); err != nil {
 		return nil, err
 	}
 	m := wire.GetMessage()
-	err := wire.DecodeInto(m, buf)
-	*bp = buf
-	framePool.Put(bp)
-	if err != nil {
+	if err := wire.DecodeInto(m, buf); err != nil {
 		wire.PutMessage(m)
 		return nil, err
 	}
