@@ -25,27 +25,43 @@ func runBench(b *testing.B, cfg Config, body Program) *Result {
 	return res
 }
 
-// routeConfig pins a 2-PE inproc cluster to one GM route for remote words:
-// the message route (one kernel shard, no window or ring, so every remote
-// access is a request/reply through kernel service, wire codec and mailbox
-// plumbing) or the one-sided window (direct reads and atomics on the
-// co-located home's segment).
-func routeConfig(cfg Config, window bool) Config {
+// gmRoute names the GM route a benchmark pins for remote words.
+type gmRoute int
+
+const (
+	// routeMessage: one kernel shard, no window or ring, so every remote
+	// access is a request/reply through kernel service, wire codec and
+	// mailbox plumbing.
+	routeMessage gmRoute = iota
+	// routeWindow: direct reads and atomics on the co-located home's
+	// segment; rings off, so writes still message.
+	routeWindow
+	// routeRing: window and write rings on; scalar writes go through the
+	// home shard's submission ring.
+	routeRing
+)
+
+// routeConfig pins a 2-PE inproc cluster to route r for remote words.
+func routeConfig(cfg Config, r gmRoute) Config {
 	cfg.NumPE, cfg.WriteRings = 2, -1
 	cfg.KernelShards, cfg.DirectReads = 1, -1
-	if window {
+	if r != routeMessage {
 		cfg.KernelShards, cfg.DirectReads = 2, 1
+	}
+	if r == routeRing {
+		cfg.WriteRings = 1
 	}
 	return cfg
 }
 
 // benchRoute times b.N calls of op by PE 0 on a block homed at PE 1 over
 // the route routeConfig pins, then checks the route's counters so the
-// benchmark cannot quietly drift to the other route: the window must have
-// served every call (DirectGM) with no msgOps message sent, the message
-// route must have sent a msgOps message per call and served none directly.
-func benchRoute(b *testing.B, cfg Config, window bool, op func(pe *PE, addr uint64), msgOps ...wire.Op) {
-	res := runBench(b, routeConfig(cfg, window), func(pe *PE) error {
+// benchmark cannot quietly drift to another route: a one-sided route must
+// have served every call (DirectGM for the window, RingGM for the ring)
+// with no msgOps message sent; the message route must have sent a msgOps
+// message per call and served none one-sided.
+func benchRoute(b *testing.B, cfg Config, r gmRoute, op func(pe *PE, addr uint64), msgOps ...wire.Op) {
+	res := runBench(b, routeConfig(cfg, r), func(pe *PE) error {
 		bw := uint64(pe.Space().BlockWords)
 		addr := pe.AllocBlocks(int(2 * bw))
 		if pe.Space().HomeOf(addr) == 0 {
@@ -68,44 +84,62 @@ func benchRoute(b *testing.B, cfg Config, window bool, op func(pe *PE, addr uint
 		msgs += st.ByOp[o].Msgs
 	}
 	n := uint64(b.N)
-	if window && (st.DirectGM < n || msgs != 0) {
-		b.Fatalf("window route: DirectGM=%d, %v messages=%d for %d ops; want every op direct", st.DirectGM, msgOps, msgs, n)
+	oneSided := st.DirectGM
+	if r == routeRing {
+		oneSided = st.RingGM
 	}
-	if !window && (st.DirectGM != 0 || msgs < n) {
-		b.Fatalf("message route: DirectGM=%d, %v messages=%d for %d ops; want every op messaged", st.DirectGM, msgOps, msgs, n)
+	if r == routeMessage && (st.DirectGM+st.RingGM != 0 || msgs < n) {
+		b.Fatalf("message route: DirectGM=%d, RingGM=%d, %v messages=%d for %d ops; want every op messaged",
+			st.DirectGM, st.RingGM, msgOps, msgs, n)
+	}
+	if r != routeMessage && (oneSided < n || msgs != 0) {
+		b.Fatalf("one-sided route: DirectGM=%d, RingGM=%d, %v messages=%d for %d ops; want every op one-sided",
+			st.DirectGM, st.RingGM, msgOps, msgs, n)
 	}
 }
 
 func gmRead(pe *PE, addr uint64)        { pe.GMRead(addr) }
+func gmWrite(pe *PE, addr uint64)       { pe.GMWrite(addr, 1) }
 func fetchAdd(pe *PE, addr uint64)      { pe.FetchAdd(addr, 1) }
 func gmReadBlock32(pe *PE, addr uint64) { pe.GMReadBlock(addr, 32) }
 
 // BenchmarkGMRemoteWordRoundTrip measures one remote read request/response
 // through kernel service, wire codec and mailbox plumbing (inproc).
 func BenchmarkGMRemoteWordRoundTrip(b *testing.B) {
-	benchRoute(b, Config{}, false, gmRead, wire.OpRead)
+	benchRoute(b, Config{}, routeMessage, gmRead, wire.OpRead)
 }
 
 // BenchmarkFetchAddRouteMessage and BenchmarkFetchAddRouteWindow time one
 // remote FetchAdd on each route: a request/reply through the home kernel,
 // or the ownership-checked atomic on the co-located home's segment.
 func BenchmarkFetchAddRouteMessage(b *testing.B) {
-	benchRoute(b, Config{}, false, fetchAdd, wire.OpFetchAdd)
+	benchRoute(b, Config{}, routeMessage, fetchAdd, wire.OpFetchAdd)
 }
 
 func BenchmarkFetchAddRouteWindow(b *testing.B) {
-	benchRoute(b, Config{}, true, fetchAdd, wire.OpFetchAdd)
+	benchRoute(b, Config{}, routeWindow, fetchAdd, wire.OpFetchAdd)
 }
 
 // BenchmarkBlockReadRouteMessage and BenchmarkBlockReadRouteWindow time one
 // remote 32-word GMReadBlock (one block, so one run) on each route: a
 // request/reply, or the seqlock-validated run copy through the window.
 func BenchmarkBlockReadRouteMessage(b *testing.B) {
-	benchRoute(b, Config{GMBlockWords: 32}, false, gmReadBlock32, wire.OpRead, wire.OpReadV)
+	benchRoute(b, Config{GMBlockWords: 32}, routeMessage, gmReadBlock32, wire.OpRead, wire.OpReadV)
 }
 
 func BenchmarkBlockReadRouteWindow(b *testing.B) {
-	benchRoute(b, Config{GMBlockWords: 32}, true, gmReadBlock32, wire.OpRead, wire.OpReadV)
+	benchRoute(b, Config{GMBlockWords: 32}, routeWindow, gmReadBlock32, wire.OpRead, wire.OpReadV)
+}
+
+// BenchmarkWriteRouteMessage and BenchmarkWriteRouteRing time one remote
+// scalar GMWrite on each route: a request/ack through the home kernel, or a
+// submission-ring publish the writer applies itself at the submit point.
+func BenchmarkWriteRouteMessage(b *testing.B) {
+	benchRoute(b, Config{}, routeMessage, gmWrite, wire.OpWrite)
+}
+
+func BenchmarkWriteRouteRing(b *testing.B) {
+	benchRoute(b, Config{}, routeRing, gmWrite, wire.OpWrite)
 }
 
 // BenchmarkBarrier measures the central barrier end to end on 4 PEs.
@@ -162,11 +196,11 @@ func BenchmarkSimClusterConstruction(b *testing.B) {
 // BenchmarkRoundTripTracingDisabled is the default path: histograms are
 // always on, span tracing costs one nil check.
 func BenchmarkRoundTripTracingDisabled(b *testing.B) {
-	benchRoute(b, Config{}, false, gmRead, wire.OpRead)
+	benchRoute(b, Config{}, routeMessage, gmRead, wire.OpRead)
 }
 
 // BenchmarkRoundTripTracingEnabled records a span per round trip on both
 // the requester and home sides.
 func BenchmarkRoundTripTracingEnabled(b *testing.B) {
-	benchRoute(b, Config{Tracing: trace.TracingConfig{Enabled: true, RingSize: 1 << 16}}, false, gmRead, wire.OpRead)
+	benchRoute(b, Config{Tracing: trace.TracingConfig{Enabled: true, RingSize: 1 << 16}}, routeMessage, gmRead, wire.OpRead)
 }

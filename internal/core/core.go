@@ -162,16 +162,17 @@ type Config struct {
 	// space), or over TCP.
 	DirectReads int
 	// WriteRings controls the one-sided write fast path: co-located PEs
-	// submit uncached writes into a remote home through a per-shard MPSC
-	// submission ring that the owning service shard drains in batches
-	// between message dispatches, so the write never wakes the serve loop
-	// or allocates a message. Tri-state like DirectReads: 0 enables rings
-	// automatically whenever the direct-read window is enabled; >0 forces
-	// them on (still subject to the window's co-location constraints); <0
-	// forces them off. Rings need a drainer, so on real transports they
-	// additionally require shard workers (resolved KernelShards > 1); under
-	// simulation submissions are drained inline at the submit point, which
-	// keeps virtual-time schedules deterministic.
+	// submit uncached writes into a remote home through a per-shard
+	// submission ring and apply them at the submit point, draining the
+	// ring under the home shard's mutex, so the write wakes neither the
+	// serve loop nor a shard worker and allocates no message. Tri-state
+	// like DirectReads: 0 enables rings automatically whenever the
+	// direct-read window is enabled; >0 forces them on (still subject to
+	// the window's co-location constraints); <0 forces them off. On real
+	// transports they additionally require shard workers (resolved
+	// KernelShards > 1), the only servicing contexts that take the shard
+	// mutex; under simulation the submit-point drain keeps virtual-time
+	// schedules deterministic.
 	WriteRings int
 	// LatentPEs starts the highest LatentPEs ranks outside the active
 	// membership: their kernels home no global-memory blocks (the probe rule
@@ -399,15 +400,16 @@ func windowsEnabled(c *Config) bool {
 
 // ringsEnabled decides whether the one-sided write fast path is on for this
 // (fully defaulted) config. Rings ride on the read window's co-location
-// bargain (they submit into the home's address space) and need a drainer:
-// shard workers on real transports, inline submit-point draining under
-// simulation.
+// bargain (they submit into the home's address space), and their producers
+// drain them at the submit point under the shard mutex: on real transports
+// only shard workers service a shard under that mutex, while under
+// simulation every context is serialised anyway.
 func ringsEnabled(c *Config) bool {
 	if !windowsEnabled(c) || c.WriteRings < 0 {
 		return false
 	}
 	if c.Transport != TransportSim && c.KernelShards <= 1 {
-		return false // no shard workers: nothing would ever drain a ring
+		return false // the serve loop services the shard without the mutex
 	}
 	return true
 }

@@ -56,14 +56,6 @@ type Kernel struct {
 	// layout.
 	dir *gmem.Directory
 
-	// migGen counts home-migration transitions this kernel has applied.
-	// Ring producers read it before publishing and recheck after their write
-	// is consumed: an unchanged value proves the drain ran under the same
-	// ownership view, a changed one makes the write ambiguous (it may have
-	// been filtered) and the producer falls back to the message path with the
-	// same sequence, where the dedup window keeps it exactly-once.
-	migGen atomic.Uint64
-
 	// escrow holds blocks this kernel extracted for a migration whose commit
 	// has not yet arrived: the snapshot plus its destination. Any GM request
 	// hitting an escrowed block re-offers the block to its destination
@@ -408,10 +400,9 @@ func (k *Kernel) addPending(mb transport.Mailbox, dst int) (seq uint64, dead boo
 }
 
 // addPendingSeq re-registers an existing request id against a (possibly new)
-// destination: the migration-NACK redirect and the ambiguous one-sided write
-// fallback keep their original sequence number so the home's dedup window
-// recognises the operation, but need the reply routed again after the first
-// response consumed the pending entry.
+// destination: the migration-NACK redirect keeps its original sequence
+// number so the home's dedup window recognises the operation, but needs the
+// reply routed again after the first response consumed the pending entry.
 func (k *Kernel) addPendingSeq(mb transport.Mailbox, dst int, seq uint64) (dead bool) {
 	if k.deadFlags[dst].Load() {
 		return true

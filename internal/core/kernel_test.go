@@ -169,8 +169,11 @@ func TestKernelCorruptPayloadsDropped(t *testing.T) {
 	ks[0].handle(&wire.Message{Op: wire.OpReadV, Src: 1, Seq: 2, Data: []byte{9, 9, 9, 9, 9}})
 	// Truncated vectored write: header promises more runs than present.
 	ks[0].handle(&wire.Message{Op: wire.OpWriteV, Src: 1, Seq: 3, Arg1: 5, Data: []byte{0}})
-	if ks[0].shards[0].extra.CorruptDrops != 3 {
-		t.Fatalf("CorruptDrops = %d, want 3", ks[0].shards[0].extra.CorruptDrops)
+	// Scalar reads whose word count is empty or leaves the block.
+	ks[0].handle(&wire.Message{Op: wire.OpRead, Src: 1, Seq: 4, Addr: 0, Arg1: 0})
+	ks[0].handle(&wire.Message{Op: wire.OpRead, Src: 1, Seq: 5, Addr: 0, Arg1: 1 << 40})
+	if ks[0].shards[0].extra.CorruptDrops != 5 {
+		t.Fatalf("CorruptDrops = %d, want 5", ks[0].shards[0].extra.CorruptDrops)
 	}
 }
 

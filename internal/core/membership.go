@@ -161,9 +161,11 @@ func (k *Kernel) dropCorrupt(m *wire.Message) {
 // handleMigrateStart is the old-home half of a handoff. The order is the
 // protocol's safety core: (1) the directory flips first, so ownership checks
 // start NACKing fresh requests toward the new home; (2) the shard fence
-// completes everything already accepted (ring drains filter what the flip
-// disowned); (3) only then are the blocks extracted. A write can therefore
-// never land in a block after its snapshot was taken.
+// completes everything already accepted and, taking each shard's mutex,
+// waits out any ring producer draining at that moment (drains check
+// ownership under the stripe mutex and reject what the flip disowned);
+// (3) only then are the blocks extracted. A write can therefore never land
+// in a block after its snapshot was taken.
 func (k *Kernel) handleMigrateStart(m *wire.Message) {
 	var flips func(b uint64) bool
 	switch m.Arg1 {
@@ -217,7 +219,6 @@ func (k *Kernel) handleMigrateStart(m *wire.Message) {
 		k.dropCorrupt(m)
 		return
 	}
-	k.migGen.Add(1)
 	k.fenceShards()
 	blocks := k.seg.Extract(flips)
 	for _, b := range blocks {
@@ -327,7 +328,6 @@ func (k *Kernel) handleMigrateInstall(m *wire.Message) {
 		k.dropCorrupt(m)
 		return
 	}
-	k.migGen.Add(1)
 	resp := wire.GetMessage()
 	resp.Op, resp.Arg1 = wire.OpMigrateInstallResp, int64(len(fresh))
 	k.reply(m, resp)
@@ -401,7 +401,6 @@ func (k *Kernel) handleMigrateCommit(m *wire.Message) {
 		}
 		k.dir.SetOverride(b, dst)
 	}
-	k.migGen.Add(1)
 	k.escrowSweep()
 	resp := wire.GetMessage()
 	resp.Op = wire.OpMigrateCommitResp
@@ -452,9 +451,7 @@ func (k *Kernel) handleEpochUpdate(m *wire.Message) {
 		k.extra.CorruptDrops++
 		return
 	}
-	if k.dir.SetMember(member, gmem.MemberState(m.Arg2), m.Addr) {
-		k.migGen.Add(1)
-	}
+	k.dir.SetMember(member, gmem.MemberState(m.Arg2), m.Addr)
 	k.escrowSweep()
 	// Close the membership grant only when the update's generation covers
 	// it: epoch updates are idempotent and retransmitted, so a delayed

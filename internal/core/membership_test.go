@@ -225,7 +225,7 @@ func TestMigrateHandoffRaceExactlyOnce(t *testing.T) {
 		}
 	}
 
-	ks[1].seg.WriteWord(addr, 1000) // sentinel: a re-apply would clobber this
+	ks[1].seg.Write(addr, []int64{1000}) // sentinel: a re-apply would clobber this
 	retry := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 101, Addr: addr, Flags: wire.FlagRetry}
 	retry.PutWord(7)
 	ks[0].handle(retry)
@@ -254,7 +254,7 @@ func TestMigrateHandoffRaceExactlyOnce(t *testing.T) {
 	if v := ks[1].seg.Read(addr, 1)[0]; v != 8 {
 		t.Fatalf("redirected write not applied: %d", v)
 	}
-	ks[1].seg.WriteWord(addr, 2000)
+	ks[1].seg.Write(addr, []int64{2000})
 	retry2 := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 1, Seq: 110, Addr: addr, Flags: wire.FlagRetry}
 	retry2.PutWord(8)
 	ks[1].handle(retry2)

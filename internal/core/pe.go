@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/check"
 	"repro/internal/ckpt"
@@ -197,14 +198,6 @@ func (pe *PE) request(dst int, m *wire.Message) *wire.Message {
 // home kernel's dedup window guarantees a retried mutating operation is
 // applied exactly once. The pending registration survives across attempts so
 // a late first reply still routes to us (and is then matched by Seq).
-func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
-	return pe.requestSeqErr(dst, m, 0)
-}
-
-// requestSeqErr is requestErr with an optional caller-provided sequence
-// number (0 allocates a fresh one). The ambiguous one-sided write fallback
-// passes the ring sequence it already published, so the home's dedup window
-// recognises the operation whichever path applied it first.
 //
 // A wire.OpMigrateNack response means the addressed kernel no longer homes
 // (one of) the request's blocks: the requester learns the hinted new home,
@@ -212,17 +205,11 @@ func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
 // carries across the redirect because the old home never applied the
 // operation (NACKs are issued before any mutation) and the new home's window
 // absorbs duplicates like any other.
-func (pe *PE) requestSeqErr(dst int, m *wire.Message, seq uint64) (*wire.Message, error) {
+func (pe *PE) requestErr(dst int, m *wire.Message) (*wire.Message, error) {
 	k := pe.k
 	m.Src = int32(k.id)
 	m.Dst = int32(dst)
-	var dead bool
-	if seq == 0 {
-		seq, dead = k.addPending(pe.replyMb, dst)
-	} else {
-		dead = k.addPendingSeq(pe.replyMb, dst, seq)
-		m.Flags |= wire.FlagRetry
-	}
+	seq, dead := k.addPending(pe.replyMb, dst)
 	if dead {
 		return nil, &PeerDownError{PE: k.id, Peer: dst, Op: m.Op.String()}
 	}
@@ -448,30 +435,35 @@ func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 			return v, nil
 		}
 	}
+	// Own home or the one-sided window: read the home's segment directly.
+	// The window route exists only uncached (no directory to update), and
+	// every word has a single home and the seqlock yields a torn-free value,
+	// so this is as consistent as the message path it replaces. Ownership is
+	// checked inside the seqlock critical section, so the read is
+	// migration-safe: a block migrated away, even from this PE's own kernel
+	// by a concurrent handoff, or mid handoff (the extract bumped the write
+	// sequence) fails the check and the read falls through to the message
+	// path, which follows the NACK redirect.
 	home := k.homeOf(addr)
-	if home == k.id {
-		pe.localAccess()
-		v := k.seg.ReadWord(addr)
-		pe.recordRead(addr, v, false, t0, mode)
-		return v, nil
+	seg, own := k.seg, home == k.id
+	if !own {
+		pe.extra.RemoteGM++
+		seg = k.window(home)
 	}
-	pe.extra.RemoteGM++
-	if win := k.window(home); win != nil {
-		// One-sided fast path: the home's segment is mapped in this address
-		// space, so resolve the read directly through its seqlock instead of
-		// a request/reply pair. Every word has a single home and the seqlock
-		// yields a torn-free value, so this is as consistent as the message
-		// path it replaces (windows exist only uncached: no directory to
-		// update). The ownership check inside the home's seqlock critical
-		// section makes the window migration-safe: a block mid-handoff fails
-		// the check (the extract bumped the write sequence) and the read
-		// falls through to the message path, which follows the NACK redirect.
+	if seg != nil {
 		pe.app.LocalAccess()
-		if v, ok := win.DirectReadOwned(addr); ok {
-			pe.extra.DirectGM++
+		if v, ok := seg.DirectReadOwned(addr); ok {
+			if own {
+				pe.extra.LocalGM++
+			} else {
+				pe.extra.DirectGM++
+			}
 			pe.recordRead(addr, v, false, t0, mode)
 			return v, nil
 		}
+	}
+	if own {
+		pe.extra.RemoteGM++ // the block left this kernel under our feet
 	}
 	req := wire.GetMessage()
 	req.Op, req.Addr, req.Arg1 = wire.OpRead, addr, 1
@@ -642,75 +634,45 @@ func (pe *PE) GMWrite(addr uint64, v int64) {
 	}
 }
 
-// ringStatus is the outcome of a one-sided write submission attempt.
-type ringStatus int
-
-const (
-	// ringUnavailable: nothing was published (path off, home dead, home no
-	// longer owns the block, or ring full) — fall back to the message path
-	// with a fresh sequence.
-	ringUnavailable ringStatus = iota
-	// ringApplied: the write was consumed with no migration in flight — it
-	// is applied and globally visible.
-	ringApplied
-	// ringAmbiguous: the write was consumed, but the home's migration
-	// generation moved while it was in flight, so the drain may have
-	// discarded it as disowned. The caller must confirm through the message
-	// path REUSING the ring sequence: if the drain did apply it, the home's
-	// dedup window absorbs the message as a duplicate; if it was discarded,
-	// the message applies it (or chases the NACK redirect to the new home).
-	// Either way the write lands exactly once.
-	ringAmbiguous
-)
-
 // ringWrite attempts the one-sided write fast path: publish (addr, v) into
-// the co-located home's per-shard submission ring and wait until the owning
-// shard has consumed it. The ring sequence comes from the same counter as
-// message sequences, so the home's dedup window gives the two paths one
-// exactly-once space. The home's migration generation is sampled before the
-// push and rechecked after consumption — see ringAmbiguous for the race this
-// closes.
-func (pe *PE) ringWrite(home int, addr uint64, v int64) (ringStatus, uint64) {
+// the co-located home's per-shard submission ring and apply it right at the
+// submit point, reporting whether it was applied. The producer reads its
+// slot's verdict; while the slot is unsettled it drains the ring itself
+// under the shard mutex when that is free (settling every published write,
+// its own included), and otherwise yields to whoever holds it. The ring
+// sequence comes from the same counter as message sequences, so the home's
+// dedup window gives the two paths one exactly-once space. A rejected write
+// (its block left the home after the precheck) was not applied and left no
+// dedup record, so the caller takes the message path under a fresh
+// sequence.
+func (pe *PE) ringWrite(home int, addr uint64, v int64) bool {
 	k := pe.k
 	if k.ringPeers == nil || k.deadFlags[home].Load() {
-		return ringUnavailable, 0
+		return false
 	}
 	hk := k.ringPeers[home]
 	sh := hk.shards[k.space.ShardOf(addr, hk.nshards)]
-	if sh.ring == nil {
-		return ringUnavailable, 0
-	}
-	// The generation is sampled UNCONDITIONALLY, not gated on the directory
-	// being live: the FIRST migration can flip the directory between this
-	// point and the shard drain, and a producer that skipped the sample
-	// because the directory looked static would also skip the recheck below
-	// and report ringApplied for a write the drain filtered as disowned. A
-	// static directory never bumps migGen, so the cost is one atomic load.
-	gen := hk.migGen.Load()
-	if !hk.dir.Static() && !hk.dir.Owns(home, k.space.BlockOf(addr)) {
-		return ringUnavailable, 0 // block already migrated away
+	if sh.ring == nil || !hk.dir.Static() && !hk.dir.Owns(home, k.space.BlockOf(addr)) {
+		return false // no ring, or the block already migrated away
 	}
 	pe.app.LocalAccess()
-	w := gmem.RingWrite{Addr: addr, Val: v, Seq: k.seqCtr.Add(1), Src: int32(k.id)}
-	pos, ok := sh.ring.Push(w)
+	pos, ok := sh.ring.Push(gmem.RingWrite{Addr: addr, Val: v, Seq: k.seqCtr.Add(1), Src: int32(k.id)})
 	if !ok {
-		return ringUnavailable, 0
+		return false
 	}
 	pe.extra.RingGM++
-	if hk.workers {
-		sh.nudge()
-		sh.ring.AwaitConsumed(pos)
-	} else {
-		// Simulated transport: drain inline at the submit point. The sim
-		// engine runs one cooperative context at a time, so this is both
-		// race-free and deterministic, and the write is applied before the
-		// submitting PE's virtual time advances again.
-		sh.drainRing()
+	for {
+		if vd := sh.ring.Verdict(pos); vd != gmem.VerdictPending {
+			sh.ring.Free(pos)
+			return vd == gmem.VerdictApplied
+		}
+		if sh.mu.TryLock() {
+			sh.drainRing()
+			sh.mu.Unlock()
+		} else {
+			runtime.Gosched()
+		}
 	}
-	if hk.migGen.Load() != gen {
-		return ringAmbiguous, w.Seq
-	}
-	return ringApplied, w.Seq
 }
 
 // GMWriteErr stores v at addr, surfacing request failures as errors. The
@@ -766,16 +728,15 @@ func (pe *PE) writeWord(addr uint64, v int64, mode uint8) error {
 		})
 	}
 	home := k.homeOf(addr)
-	var seq uint64 // nonzero: confirm an ambiguous ring write under its sequence
 	if k.cache == nil {
 		if home == k.id {
-			pe.localAccess()
-			k.seg.WriteWord(addr, v)
-			pe.complete(hidx, 0, true)
-			return nil
-		}
-		var st ringStatus
-		if st, seq = pe.ringWrite(home, addr, v); st == ringApplied {
+			pe.app.LocalAccess()
+			if k.seg.WriteWordOwned(addr, v) {
+				pe.extra.LocalGM++
+				pe.complete(hidx, 0, true)
+				return nil
+			}
+		} else if pe.ringWrite(home, addr, v) {
 			pe.extra.RemoteGM++
 			pe.complete(hidx, 0, true)
 			return nil
@@ -785,14 +746,14 @@ func (pe *PE) writeWord(addr uint64, v int64, mode uint8) error {
 	// machinery, including our own home (via the own-node message path).
 	// The writer drops its own cached copy too: a kept-warm copy would no
 	// longer be registered in the home's directory, so later writes by
-	// other PEs could not invalidate it. An ambiguous ring write is
-	// confirmed through this path with the SAME sequence number (see
-	// ringAmbiguous).
+	// other PEs could not invalidate it. A store the own home or the ring
+	// refused (the block migrated away) takes this path under a fresh
+	// sequence and follows the NACK redirect.
 	pe.extra.RemoteGM++
 	req := wire.GetMessage()
 	req.Op, req.Addr = wire.OpWrite, addr
 	req.PutWord(v)
-	resp, err := pe.requestSeqErr(home, req, seq)
+	resp, err := pe.requestErr(home, req)
 	wire.PutMessage(req)
 	if err != nil {
 		return err

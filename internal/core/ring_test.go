@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/gmem"
@@ -55,9 +56,10 @@ func TestRingWriteFastPath(t *testing.T) {
 	}
 }
 
-// TestRingWritesDisabledWithoutWorkers pins the drainer requirement: on a
-// real transport with one shard there is no worker loop to drain a ring, so
-// rings must stay off even when forced, and writes fall back to messages.
+// TestRingWritesDisabledWithoutWorkers pins the worker requirement: on a
+// real transport with one shard the serve loop services the shard without
+// the shard mutex a draining producer takes, so rings must stay off even
+// when forced, and writes fall back to messages.
 func TestRingWritesDisabledWithoutWorkers(t *testing.T) {
 	res, err := Run(Config{
 		NumPE: 2, Transport: TransportInproc,
@@ -103,13 +105,14 @@ func TestRingWriteDedupExactlyOnce(t *testing.T) {
 		t.Fatal("push rejected")
 	}
 	sh.drainRing()
-	if !sh.ring.Consumed(pos) {
-		t.Fatal("drainRing did not consume the slot")
+	if v := sh.ring.Verdict(pos); v != gmem.VerdictApplied {
+		t.Fatalf("drainRing settled the slot %d, want applied", v)
 	}
+	sh.ring.Free(pos)
 	if v := k.seg.Read(addr, 1)[0]; v != 7 {
 		t.Fatalf("ring write not applied: %d", v)
 	}
-	k.seg.WriteWord(addr, 1000) // sentinel: a re-apply would clobber this
+	k.seg.Write(addr, []int64{1000}) // sentinel: a re-apply would clobber this
 	retry := &wire.Message{Op: wire.OpWrite, Src: 1, Dst: 0, Seq: 5, Addr: addr, Flags: wire.FlagRetry}
 	retry.PutWord(7)
 	sh.handleGM(retry)
@@ -127,11 +130,14 @@ func TestRingWriteDedupExactlyOnce(t *testing.T) {
 	if v := k.seg.Read(addr, 1)[0]; v != 8 {
 		t.Fatalf("message write not applied: %d", v)
 	}
-	k.seg.WriteWord(addr, 2000)
-	if _, ok := sh.ring.Push(gmem.RingWrite{Addr: addr, Val: 8, Seq: 6, Src: 1}); !ok {
+	k.seg.Write(addr, []int64{2000})
+	if pos, ok = sh.ring.Push(gmem.RingWrite{Addr: addr, Val: 8, Seq: 6, Src: 1}); !ok {
 		t.Fatal("push rejected")
 	}
 	sh.drainRing()
+	if v := sh.ring.Verdict(pos); v != gmem.VerdictApplied {
+		t.Fatalf("duplicate settled %d, want applied (the message path applied it)", v)
+	}
 	if v := k.seg.Read(addr, 1)[0]; v != 2000 {
 		t.Fatalf("ring duplicate of a message write re-applied: %d, want sentinel 2000", v)
 	}
@@ -142,4 +148,70 @@ func TestRingWriteDedupExactlyOnce(t *testing.T) {
 	if sh.extra.RingDrained != 1 {
 		t.Fatalf("RingDrained = %d, want 1 (the one fresh ring write)", sh.extra.RingDrained)
 	}
+}
+
+// raceScalarWritesAgainstMigration has the migrator PE move block 0 between
+// kernels 0 and 1, moves times, while each writer PE stores 1..writes into
+// its own word of that block and reads every value straight back. A store
+// racing a handoff must land exactly once and travel with the moving data:
+// every read-back and every final value is exact.
+func raceScalarWritesAgainstMigration(t *testing.T, numPE, migrator int, writers ...int) *Result {
+	const writes, moves = 3000, 24
+	res, err := Run(Config{
+		NumPE: numPE, Transport: TransportInproc,
+		KernelShards: 2, DirectReads: 1,
+	}, func(pe *PE) error {
+		base := pe.AllocBlocks(pe.Space().BlockWords) // block 0, homed at kernel 0
+		pe.Barrier()
+		var err error
+		if id := pe.ID(); id == migrator {
+			for i := 0; i < moves && err == nil; i++ {
+				err = pe.MigrateRange(base, 1, 1-i%2)
+			}
+		} else if slices.Contains(writers, id) {
+			addr := base + uint64(id)
+			for v := int64(1); v <= writes && err == nil; v++ {
+				if err = pe.GMWriteErr(addr, v); err != nil {
+					break
+				}
+				got, rerr := pe.GMReadErr(addr)
+				if err = rerr; err == nil && got != v {
+					err = fmt.Errorf("PE %d: read %d after writing %d", id, got, v)
+				}
+			}
+		}
+		pe.Barrier() // reached even on error: the other PEs wait here
+		for _, w := range writers {
+			if v := pe.GMRead(base + uint64(w)); err == nil && v != writes {
+				err = fmt.Errorf("PE %d: word of writer %d = %d, want %d", pe.ID(), w, v, writes)
+			}
+		}
+		pe.Barrier()
+		return err
+	})
+	if err != nil || res.FirstErr() != nil {
+		t.Fatal(err, res.FirstErr())
+	}
+	if res.Total.Migrations < moves {
+		t.Errorf("Migrations = %d, want %d", res.Total.Migrations, moves)
+	}
+	return res
+}
+
+// TestRingWriteRacesMigration races ring writes from two non-home PEs
+// against handoffs of their block: a drained write whose block flipped away
+// is rejected untouched and retried on the message path, never applied to a
+// block that already left.
+func TestRingWriteRacesMigration(t *testing.T) {
+	if res := raceScalarWritesAgainstMigration(t, 4, 0, 2, 3); res.Total.RingGM == 0 {
+		t.Error("no ring writes: the writers never took the ring")
+	}
+}
+
+// TestScalarHomeRacesMigration makes the writers the two homes the block
+// moves between, so each store alternates between the own-home path, the
+// ring and the message path, and the home's read and write handlers see the
+// directory flip between their ownership scan and the apply.
+func TestScalarHomeRacesMigration(t *testing.T) {
+	raceScalarWritesAgainstMigration(t, 3, 2, 0, 1)
 }

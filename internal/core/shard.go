@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/ckpt"
 	"repro/internal/gmem"
 	"repro/internal/trace"
@@ -8,9 +11,10 @@ import (
 )
 
 // ringSlots is the capacity of each shard's write submission ring. Each
-// producer blocks until its slot is applied, so occupancy is bounded by the
-// co-located PE count; 256 slots keep Push from ever failing in practice
-// while the full-ring fallback to the message path stays covered by tests.
+// producer blocks until its slot is settled and frees it itself, so
+// occupancy is bounded by the co-located PE count; 256 slots keep Push from
+// ever failing in practice while the full-ring fallback to the message path
+// stays covered by tests.
 const ringSlots = 256
 
 // kernelShard is one address-range shard of a kernel's home-side
@@ -31,25 +35,26 @@ type kernelShard struct {
 	k   *Kernel
 	idx int
 
+	// mu is held by whoever services the shard: the worker around each
+	// queue item (fences included), or a ring producer draining the ring at
+	// its submit point. It serialises them over the shard state below (the
+	// ring's consumer side, dedup window, invalidation rounds, scratch and
+	// counters). In inline mode the serve loop and the cooperative sim
+	// contexts are already serialised, and only producers take it, never
+	// contended.
+	mu sync.Mutex
+
 	// q feeds the worker goroutine (nil in inline mode). Items are either a
 	// message to service or a fence token to acknowledge.
 	q chan shardItem
 
 	// ring is the one-sided write submission ring owned by this shard (nil
 	// when the write fast path is off). Co-located PEs publish uncached
-	// single-word writes into it; the shard drains it in batches between
-	// message dispatches (worker mode) or the submitter drains it inline at
-	// the submit point (simulated transport), so the serve loop never wakes
-	// and no message is allocated.
+	// single-word writes into it and drain it themselves under mu, so no
+	// worker is woken and no message is allocated.
 	ring *gmem.SubmitRing
-	// ringBuf is the drain batch scratch; owned by whoever services this
-	// shard (worker goroutine, or the cooperative sim context draining
-	// inline — the engine serialises those).
+	// ringBuf is the drain batch scratch.
 	ringBuf []gmem.RingWrite
-	// wake nudges an idle worker after a ring publish (worker mode only).
-	// Buffered size 1; producers send non-blocking, so a pending token
-	// coalesces any number of publishes.
-	wake chan struct{}
 
 	// dedup is the exactly-once window for mutating GM requests routed to
 	// this shard. A retry routes identically (same address → same shard; the
@@ -96,7 +101,6 @@ func newKernelShard(k *Kernel, idx int, rings bool) *kernelShard {
 	}
 	if k.workers {
 		sh.q = make(chan shardItem, 1024)
-		sh.wake = make(chan struct{}, 1)
 	}
 	if rings {
 		sh.ring = gmem.NewSubmitRing(ringSlots)
@@ -151,11 +155,13 @@ func (k *Kernel) dispatchGM(m *wire.Message) bool {
 
 // fenceShards blocks until every shard worker has serviced everything
 // enqueued before the fence — the cross-shard collective the checkpoint
-// marker uses so seg.Export sees no request in flight on any shard. Fencing
-// also drains every shard's submission ring, so a one-sided write published
-// before the checkpoint barrier is in the exported state (worker mode: the
-// worker drains on the fence token; inline mode: drained right here — under
-// simulation rings are drained at the submit point, so this is a backstop).
+// marker and the migration handoff use so seg.Export or seg.Extract sees no
+// request in flight on any shard. The worker takes the shard mutex for the
+// fence token, so the fence also waits out any producer draining the ring
+// at that moment, and it drains the ring itself: a one-sided write
+// published before the fence is settled before the fence returns (inline
+// mode: drained right here — under simulation rings are drained at the
+// submit point, so this is a backstop).
 // Must not be called from shard workers (the serial serve loop only), and
 // peer-down handling deliberately never fences: a worker's own Send may be
 // what reported the peer dead, and the fence would wait on that worker
@@ -177,101 +183,74 @@ func (k *Kernel) fenceShards() {
 }
 
 // drainRing applies every write currently published in this shard's
-// submission ring: the home side of the one-sided write path. Writes are
-// deduped against the shard's exactly-once window (ring sequences come from
-// the same per-kernel counter as message sequences, so a ring write that
-// raced a message-path retry is applied once), applied to the segment in
-// one per-block-capped seqlock batch, recorded as completed, and only then
-// released — a producer spinning in AwaitConsumed returns with its write
-// globally visible. Must only run on the context servicing this shard.
-func (sh *kernelShard) drainRing() int {
+// submission ring and settles each slot with its verdict: the home side of
+// the one-sided write path. Writes are deduped against the shard's
+// exactly-once window (ring sequences come from the same per-kernel counter
+// as message sequences, so a ring write that raced a message-path retry is
+// applied once, and the duplicate counts as applied), checked against the
+// producer's namespace, and applied to the segment in one
+// per-block-capped, ownership-checked seqlock batch. A write rejected as
+// disowned or out of its namespace forgets its dedup entry, so the
+// producer's message-path retry is evaluated afresh. Caller holds sh.mu
+// (or is the cooperative sim context).
+func (sh *kernelShard) drainRing() {
 	if sh.ring == nil {
-		return 0
+		return
 	}
-	n := sh.ring.Drain(sh.ringBuf)
-	if n == 0 {
-		return 0
+	batch := sh.ringBuf[:sh.ring.Drain(sh.ringBuf)]
+	if len(batch) == 0 {
+		return
 	}
-	batch := sh.ringBuf[:n]
 	k := sh.k
-	liveDir := !k.dir.Static()
-	fresh := batch[:0] // dedup-filter in place: fresh writes only
-	for _, w := range batch {
-		// The ownership filter must run BEFORE the dedup lookup: a write
-		// whose block migrated away after the producer's precheck is simply
-		// not applied, and crucially leaves no dedup record — the producer
-		// detects the migration-generation change and falls back to the
-		// message path with the same sequence number, which must not be
-		// absorbed here as an in-progress duplicate.
-		if liveDir && !k.dir.Owns(k.id, k.space.BlockOf(w.Addr)) {
-			continue
-		}
+	for i := range batch {
+		w := &batch[i]
 		if e := sh.dedup.lookup(w.Src, w.Seq); e != nil {
 			// The message path already applied (or is applying) this seq.
 			sh.extra.DupRequests++
+			w.Verdict = gmem.VerdictApplied
 			continue
 		}
 		// Namespace filter (defense in depth: the producer's PE-side guard
 		// refuses out-of-region ring writes before publishing, so only a
-		// forged publish reaches here). The write is dropped unapplied and
-		// leaves no dedup record — a message-path retry of the same seq gets
-		// the typed OpNsNack from nsDeny instead of a silent absorb.
+		// forged publish reaches here).
 		if region, bound := k.ns.Lookup(int(w.Src)); bound && !region.Contains(w.Addr, 1) {
 			sh.dedup.forget(w.Src, w.Seq)
 			sh.extra.NsViolations++
+			w.Verdict = gmem.VerdictRejected
 			continue
 		}
-		fresh = append(fresh, w)
-	}
-	sh.k.seg.ApplyWrites(fresh)
-	for _, w := range fresh {
+		// Completed ahead of the apply: nothing can look the entry up before
+		// this drain returns, and a rejected apply forgets it below.
 		sh.dedup.complete(w.Src, w.Seq, wire.OpWriteAck, 0, 0, nil)
 	}
-	sh.extra.RingDrained += uint64(len(fresh))
-	sh.ring.Release(n)
-	return n
-}
-
-// nudge wakes an idle worker after a ring publish (non-blocking: a pending
-// token coalesces any number of publishes).
-func (sh *kernelShard) nudge() {
-	select {
-	case sh.wake <- struct{}{}:
-	default:
+	sh.extra.RingDrained += uint64(k.seg.ApplyWrites(batch))
+	for _, w := range batch {
+		if w.Verdict == gmem.VerdictRejected {
+			sh.dedup.forget(w.Src, w.Seq)
+		}
 	}
+	sh.ring.Release(batch)
 }
 
-// run is the shard worker loop: service queued GM requests until the queue
-// closes at kernel shutdown, draining the submission ring between message
-// dispatches (and on ring publishes while idle, via wake). The worker owns
-// each message end to end — service-time observation, span recording and
-// recycling — mirroring what serve does for inline-handled messages.
+// run is the shard worker loop: service queued GM requests and fences until
+// the queue closes at kernel shutdown, each under the shard mutex. The
+// worker owns each message end to end — service-time observation, span
+// recording and recycling — mirroring what serve does for inline-handled
+// messages.
 func (sh *kernelShard) run() {
 	k := sh.k
-	for {
-		sh.drainRing()
-		var it shardItem
-		var ok bool
-		select {
-		case it, ok = <-sh.q:
-		default:
-			select {
-			case it, ok = <-sh.q:
-			case <-sh.wake:
-				continue
-			}
-		}
-		if !ok {
-			break
-		}
+	for it := range sh.q {
+		sh.mu.Lock()
 		if it.m == nil {
 			sh.drainRing()
+			sh.mu.Unlock()
 			it.fence <- struct{}{}
 			continue
 		}
 		m := it.m
 		op, src, seq, rcv := m.Op, m.Src, m.Seq, m.RecvAt
 		sh.handleGM(m)
+		sh.mu.Unlock()
 		end := k.svc.Now()
 		if int(op) < wire.NumOps {
 			sh.extra.ServiceByOp[op].Observe(end - rcv)
@@ -286,7 +265,9 @@ func (sh *kernelShard) run() {
 		}
 		wire.PutMessage(m)
 	}
+	sh.mu.Lock()
 	sh.drainRing()
+	sh.mu.Unlock()
 	k.shardWG.Done()
 }
 
@@ -355,7 +336,7 @@ func (sh *kernelShard) nackIfForeign(m *wire.Message) bool {
 		}
 		// Clamp to one block's worth of words: every legitimate range fits
 		// inside a single block (the PE-side run splitters never cross a
-		// block boundary, and gmem's checkHome enforces it server-side), so
+		// block boundary, and the handlers enforce it server-side), so
 		// the clamp is a no-op for valid traffic. Without it a corrupt
 		// count — this scan runs BEFORE the op handler's own bounds checks —
 		// would spin this shard worker through up to count/BlockWords
@@ -487,17 +468,30 @@ func (sh *kernelShard) reply(m *wire.Message, resp *wire.Message) {
 
 func (sh *kernelShard) handleRead(m *wire.Message) {
 	k := sh.k
-	resp := wire.GetMessage()
-	resp.Op, resp.Addr = wire.OpReadResp, m.Addr
+	var words []int64
 	if m.Arg2 == 1 {
 		// Block fetch for the caching protocol: return the whole block and
 		// record the reader in the directory.
-		resp.PutWords(k.seg.ReadBlockFor(m.Addr, int(m.Src)))
-		sh.reply(m, resp)
-		return
+		words = k.seg.ReadBlockFor(m.Addr, int(m.Src))
+	} else {
+		n, bw := int(m.Arg1), uint64(k.space.BlockWords)
+		if n < 1 || m.Addr%bw+uint64(n) > bw {
+			sh.extra.CorruptDrops++ // a legitimate run never leaves its block
+			return
+		}
+		// The directory can flip between nackIfForeign and here (a
+		// concurrent handoff on a worker shard): read under the ownership
+		// check and NACK a block that left, as handleAtomic does.
+		sh.wscratch = slices.Grow(sh.wscratch[:0], n)[:n]
+		if !k.seg.DirectReadRunOwned(sh.wscratch, m.Addr) {
+			sh.nack(m, k.dir.HomeOfBlock(k.space.BlockOf(m.Addr)))
+			return
+		}
+		words = sh.wscratch
 	}
-	sh.wscratch = k.seg.ReadAppend(sh.wscratch[:0], m.Addr, int(m.Arg1))
-	resp.PutWords(sh.wscratch)
+	resp := wire.GetMessage()
+	resp.Op, resp.Addr = wire.OpReadResp, m.Addr
+	resp.PutWords(words)
 	sh.reply(m, resp)
 }
 
@@ -532,7 +526,10 @@ func (sh *kernelShard) handleWrite(m *wire.Message) {
 	}
 	sh.wscratch = m.WordsInto(sh.wscratch)
 	if k.cache == nil {
-		k.seg.Write(m.Addr, sh.wscratch)
+		if !k.seg.WriteOwned(m.Addr, sh.wscratch) {
+			sh.nack(m, k.dir.HomeOfBlock(k.space.BlockOf(m.Addr)))
+			return
+		}
 		ack := wire.GetMessage()
 		ack.Op = wire.OpWriteAck
 		sh.reply(m, ack)

@@ -23,8 +23,9 @@ func put(dir, name string, data []byte) {
 	}
 }
 
-// schedule encodes one FuzzSubmitRing input: ring-size selector, start
-// position, then one byte per op (mod 3: 0 push, 1 drain-all, 2 drain-head).
+// schedule encodes one FuzzSubmitRing input: ring-size selector (4, 8, 16
+// or 32 slots), start position, then one byte per op (mod 4: 0 push,
+// 1 drain-all, 2 drain-head, 3 free the settled slot numbered byte/4).
 func schedule(sizeSel byte, start uint64, ops ...byte) []byte {
 	data := make([]byte, 9, 9+len(ops))
 	data[0] = sizeSel
@@ -34,16 +35,19 @@ func schedule(sizeSel byte, start uint64, ops ...byte) []byte {
 
 func main() {
 	dir := "internal/gmem/testdata/fuzz/FuzzSubmitRing"
-	// Plain FIFO traffic on an 8-slot ring.
-	put(dir, "seed-fifo", schedule(2, 0, 0, 0, 0, 1, 0, 2, 1))
+	// Plain FIFO traffic on an 8-slot ring, every verdict read and freed.
+	put(dir, "seed-fifo", schedule(1, 0, 0, 0, 0, 1, 3, 3, 3, 0, 2, 3, 1, 3))
 	// Positions wrap uint64 mid-schedule: the slot-state words must keep
 	// their modular discipline across the wrap (the newSubmitRingAt
 	// misinitialisation this corpus pinned hung Push forever).
-	put(dir, "seed-wrap", schedule(2, ^uint64(0)-3, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 2, 2))
-	// Overfill a 2-slot ring: pushes beyond capacity must reject cleanly.
-	put(dir, "seed-full", schedule(0, ^uint64(0)-1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1))
-	// Head-at-a-time drains interleaved with pushes, high start bit set.
-	put(dir, "seed-head", schedule(3, 1<<63, 2, 0, 2, 0, 0, 2, 2, 2, 0, 1))
+	put(dir, "seed-wrap", schedule(1, ^uint64(0)-3, 0, 0, 0, 0, 1, 3, 3, 3, 3, 0, 0, 0, 0, 1, 2, 2))
+	// Overfill a 4-slot ring: pushes beyond capacity reject cleanly, and
+	// keep rejecting after Release until the tail slot's producer frees it
+	// (the free of slot byte/4 = 1 comes first, out of order).
+	put(dir, "seed-full", schedule(0, ^uint64(0)-1, 0, 0, 0, 0, 0, 0, 1, 0, 7, 0, 3, 0, 3, 0, 1, 3))
+	// Head-at-a-time drains interleaved with pushes and frees, high start
+	// bit set.
+	put(dir, "seed-head", schedule(3, 1<<63, 2, 0, 2, 0, 0, 2, 3, 2, 2, 0, 1, 7, 3, 3))
 
 	// FuzzWCBuf schedules: one byte per op (mod 8: 0-4 write, consuming an
 	// addr byte (%64) and a value byte; 5-6 drain; 7 discard).

@@ -447,18 +447,14 @@ func (g *Segment) Adopt(blocks []BlockSnapshot) error {
 	return nil
 }
 
-// WriteWord stores a single word at addr without allocating (after the
-// block's first write).
-func (g *Segment) WriteWord(addr uint64, v int64) {
-	g.checkHome(addr, 1)
-	b := g.space.BlockOf(addr)
-	st := g.stripeOf(b)
-	st.mu.Lock()
-	blk := st.materialise(b, g.space.BlockWords)
-	st.wseq.Add(1)
-	atomic.StoreInt64(&blk[addr%uint64(g.space.BlockWords)], v)
-	st.wseq.Add(1)
-	st.mu.Unlock()
+// WriteWordOwned stores v at addr without allocating (after the block's
+// first write) and reports whether this segment homes the word: the
+// single-word WriteOwned the home's own PE uses. Like AtomicOwned it checks
+// ownership under the stripe mutex, so a store racing a migration either
+// lands before Extract snapshots the block or reports ok=false with the
+// segment untouched.
+func (g *Segment) WriteWordOwned(addr uint64, v int64) bool {
+	return g.write(addr, []int64{v}, true)
 }
 
 // ReadInto copies len(dst) words starting at addr into dst (all homed here,
@@ -535,6 +531,21 @@ const writeWindowWords = 32
 // stores at a time.
 func (g *Segment) Write(addr uint64, words []int64) {
 	g.checkHome(addr, len(words))
+	g.write(addr, words, false)
+}
+
+// WriteOwned is Write for a home whose directory can flip under it: it
+// reports ok=false, with the segment untouched, when the block is not homed
+// here. Ownership is checked once, under the first chunk's stripe mutex.
+// The later chunks of the same block need no recheck as long as the caller
+// keeps Extract from running until WriteOwned returns — a shard worker
+// holds its shard's mutex, which the migration fence takes, around every
+// request it services.
+func (g *Segment) WriteOwned(addr uint64, words []int64) bool {
+	return g.write(addr, words, true)
+}
+
+func (g *Segment) write(addr uint64, words []int64, checkOwner bool) bool {
 	b := g.space.BlockOf(addr)
 	st := g.stripeOf(b)
 	off := int(addr % uint64(g.space.BlockWords))
@@ -544,6 +555,10 @@ func (g *Segment) Write(addr uint64, words []int64) {
 			chunk = chunk[:writeWindowWords]
 		}
 		st.mu.Lock()
+		if checkOwner && start == 0 && !g.owns(b) {
+			st.mu.Unlock()
+			return false
+		}
 		blk := st.materialise(b, g.space.BlockWords)
 		st.wseq.Add(1)
 		for i, v := range chunk {
@@ -552,6 +567,7 @@ func (g *Segment) Write(addr uint64, words []int64) {
 		st.wseq.Add(1)
 		st.mu.Unlock()
 	}
+	return true
 }
 
 // AtomicOwned applies one read-modify-write to the word at addr: a

@@ -2,7 +2,6 @@ package gmem
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -17,27 +16,50 @@ type RingWrite struct {
 	Val  int64
 	Seq  uint64
 	Src  int32
+	// Verdict is the consumer's settlement of the slot: Drain hands every
+	// write out VerdictPending, ApplyWrites settles it, and Release publishes
+	// it to the producer. Push ignores it.
+	Verdict Verdict
 }
 
-// SubmitRing is a bounded multi-producer single-consumer ring of RingWrite
-// slots: the one-sided write fast path between co-located PEs and the home
-// kernel's service shard. Producers claim a slot with one CAS on tail,
-// fill the payload, and publish it with a single atomic store of the slot's
-// state word; the shard's servicing goroutine drains published slots in
-// batches between message dispatches.
+// Verdict is the outcome of one submitted write, read by its producer from
+// the slot it published.
+type Verdict uint8
+
+const (
+	// VerdictPending: published, not yet settled by a drain.
+	VerdictPending Verdict = iota
+	// VerdictApplied: the write is in the segment and globally visible (or
+	// was already applied under the same sequence).
+	VerdictApplied
+	// VerdictRejected: the write was not applied and left no dedup record —
+	// its block is no longer homed here, or it strayed outside the
+	// producer's namespace. The producer retries on the message path.
+	VerdictRejected
+)
+
+// SubmitRing is a bounded multi-producer ring of RingWrite slots: the
+// one-sided write fast path between co-located PEs and the home kernel's
+// service shard. Producers claim a slot with one CAS on tail, fill the
+// payload, and publish it with a single atomic store of the slot's state
+// word. Whoever services the shard drains the published slots in batches,
+// applies them, and settles each slot with its verdict; the producer reads
+// the verdict from its own slot and frees it.
 //
 // The state word of slot i follows the bounded-MPMC sequence discipline,
-// restricted here to one consumer: it holds pos when the slot is free for
-// the producer claiming position pos, pos+1 once that producer published,
-// and pos+size once the consumer has applied the write and recycled the
-// slot. All comparisons are modular (state - pos), so the ring keeps
+// with one consumer at a time: relative to the position pos that claimed
+// the slot it holds 0 while free, 1 once published, 2 once applied and 3
+// once rejected, and the producer frees it for the next lap by storing
+// pos+size. All comparisons are modular (state - pos), so the ring keeps
 // working when positions wrap around uint64.
 type SubmitRing struct {
 	slots []ringSlot
 	mask  uint64
 	size  uint64
 	tail  atomic.Uint64 // next position a producer will claim
-	head  uint64        // next position the consumer will inspect; consumer-only
+	// head is the next position the consumer will inspect. Consumer-only:
+	// the caller serialises Drain, Release and Pending.
+	head uint64
 }
 
 type ringSlot struct {
@@ -51,10 +73,12 @@ type ringSlot struct {
 	src  int32
 }
 
-// NewSubmitRing builds a ring with n slots; n must be a power of two.
+// NewSubmitRing builds a ring with n slots; n must be a power of two of at
+// least 4, so that a settled slot's state never reads as free for the next
+// lap.
 func NewSubmitRing(n int) *SubmitRing {
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("gmem: ring size %d is not a power of two", n))
+	if n < 4 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("gmem: ring size %d is not a power of two >= 4", n))
 	}
 	return newSubmitRingAt(n, 0)
 }
@@ -76,7 +100,7 @@ func newSubmitRingAt(n int, start uint64) *SubmitRing {
 }
 
 // Push claims a slot, fills it with w, and publishes it. It returns the
-// claimed position (for AwaitConsumed) and ok=false without side effects
+// claimed position (for Verdict and Free) and ok=false without side effects
 // when the ring is full — the caller falls back to the message path with a
 // fresh sequence, so a rejected push can never be half-applied.
 func (r *SubmitRing) Push(w RingWrite) (pos uint64, ok bool) {
@@ -91,7 +115,7 @@ func (r *SubmitRing) Push(w RingWrite) (pos uint64, ok bool) {
 				return pos, true
 			}
 		case diff < 0:
-			return 0, false // slot not yet recycled: ring full
+			return 0, false // slot published, settled or unread: ring full
 		default:
 			// Another producer claimed pos between our two loads; retry.
 		}
@@ -99,9 +123,9 @@ func (r *SubmitRing) Push(w RingWrite) (pos uint64, ok bool) {
 }
 
 // Drain copies up to len(buf) published slots into buf, in submission
-// order, WITHOUT recycling them: the slots stay claimed until Release, so a
-// producer spinning in AwaitConsumed only proceeds once the consumer has
-// actually applied its write. Consumer-side only.
+// order and each VerdictPending, WITHOUT settling them: the slots stay
+// published until Release, so a producer only learns a verdict once the
+// consumer has applied (or rejected) its write. Consumer-side only.
 func (r *SubmitRing) Drain(buf []RingWrite) int {
 	n := 0
 	for n < len(buf) {
@@ -116,40 +140,37 @@ func (r *SubmitRing) Drain(buf []RingWrite) int {
 	return n
 }
 
-// Release recycles the first n drained slots, advancing head and waking any
-// producer blocked in AwaitConsumed on them. Call only after the drained
-// writes have been applied (and their dedup entries completed): the state
-// store is the release edge a waiting producer's acquire load pairs with.
-func (r *SubmitRing) Release(n int) {
-	for i := 0; i < n; i++ {
-		s := &r.slots[r.head&r.mask]
-		s.state.Store(r.head + r.size)
+// Release settles the first len(batch) drained slots with their writes'
+// verdicts (VerdictApplied or VerdictRejected) and advances head past them.
+// Call only once the applied writes are visible and their dedup entries are
+// final: the state store is the release edge the producer's Verdict load
+// pairs with.
+func (r *SubmitRing) Release(batch []RingWrite) {
+	for _, w := range batch {
+		r.slots[r.head&r.mask].state.Store(r.head + 1 + uint64(w.Verdict))
 		r.head++
 	}
 }
 
-// AwaitConsumed spins until the write published at pos has been applied by
-// the consumer. The producer side of the one-sided write's completion: a
-// GMWrite may not return before its store is globally visible, or a
-// subsequent read by the same PE could miss its own write.
-func (r *SubmitRing) AwaitConsumed(pos uint64) {
-	s := &r.slots[pos&r.mask]
-	for i := 0; ; i++ {
-		if s.state.Load()-pos >= r.size {
-			return
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
+// Verdict reports the settlement of the write published at pos. A producer
+// must Free the slot once it reads anything but VerdictPending.
+func (r *SubmitRing) Verdict(pos uint64) Verdict {
+	switch r.slots[pos&r.mask].state.Load() - pos {
+	case 1 + uint64(VerdictApplied):
+		return VerdictApplied
+	case 1 + uint64(VerdictRejected):
+		return VerdictRejected
 	}
+	return VerdictPending
 }
 
-// Consumed reports whether the write published at pos has been applied.
-func (r *SubmitRing) Consumed(pos uint64) bool {
-	return r.slots[pos&r.mask].state.Load()-pos >= r.size
+// Free recycles the settled slot at pos for the producer that will claim
+// position pos+size. Producer-side, after reading the slot's verdict.
+func (r *SubmitRing) Free(pos uint64) {
+	r.slots[pos&r.mask].state.Store(pos + r.size)
 }
 
-// Pending reports how many published-but-unreleased slots the ring holds.
+// Pending reports how many published-but-unsettled slots the ring holds.
 // Consumer-side only (it reads head without synchronisation).
 func (r *SubmitRing) Pending() int {
 	n := 0
@@ -163,16 +184,20 @@ func (r *SubmitRing) Pending() int {
 	return n
 }
 
-// ApplyWrites applies a drained batch to the segment under the stripe
-// seqlock protocol: consecutive writes to the same block share one mutex
-// hold and one wseq window, and the window is capped at a single block so a
-// DirectRead's mutex fallback can never starve behind a long batch (the
-// same per-block cap Write applies to vectored runs). Word stores are
-// atomic, so concurrent DirectReads stay torn-free.
-func (g *Segment) ApplyWrites(ops []RingWrite) {
+// ApplyWrites applies the VerdictPending writes of a drained batch to the
+// segment under the stripe seqlock protocol and settles each of them:
+// consecutive writes to the same block share one mutex hold and one wseq
+// window, and the window is capped at a single block so a DirectRead's
+// mutex fallback can never starve behind a long batch (the same per-block
+// cap Write applies to vectored runs). Ownership is checked per block under
+// the stripe mutex, as AtomicOwned checks it: a write whose block is no
+// longer homed here is marked VerdictRejected and the segment is left
+// untouched. Word stores are atomic, so concurrent DirectReads stay
+// torn-free. It returns how many writes it applied; writes already settled
+// on entry are skipped.
+func (g *Segment) ApplyWrites(ops []RingWrite) (applied int) {
 	bw := uint64(g.space.BlockWords)
 	for i := 0; i < len(ops); {
-		g.checkHome(ops[i].Addr, 1)
 		b := g.space.BlockOf(ops[i].Addr)
 		j := i + 1
 		for j < len(ops) && g.space.BlockOf(ops[j].Addr) == b {
@@ -180,13 +205,26 @@ func (g *Segment) ApplyWrites(ops []RingWrite) {
 		}
 		st := g.stripeOf(b)
 		st.mu.Lock()
-		blk := st.materialise(b, g.space.BlockWords)
-		st.wseq.Add(1)
-		for _, op := range ops[i:j] {
-			atomic.StoreInt64(&blk[op.Addr%bw], op.Val)
+		verdict := VerdictRejected
+		if g.owns(b) {
+			verdict = VerdictApplied
+			blk := st.materialise(b, g.space.BlockWords)
+			st.wseq.Add(1)
+			for _, op := range ops[i:j] {
+				if op.Verdict == VerdictPending {
+					atomic.StoreInt64(&blk[op.Addr%bw], op.Val)
+					applied++
+				}
+			}
+			st.wseq.Add(1)
 		}
-		st.wseq.Add(1)
 		st.mu.Unlock()
+		for k := i; k < j; k++ {
+			if ops[k].Verdict == VerdictPending {
+				ops[k].Verdict = verdict
+			}
+		}
 		i = j
 	}
+	return applied
 }

@@ -2,27 +2,40 @@ package gmem
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// settle marks every write of a drained batch with verdict v.
+func settle(batch []RingWrite, v Verdict) []RingWrite {
+	for i := range batch {
+		batch[i].Verdict = v
+	}
+	return batch
+}
+
 // TestSubmitRingFIFO pushes a batch, drains it, and checks payloads come out
-// in submission order with the slots reusable after Release.
+// in submission order, each producer reads its verdict, and the slots are
+// reusable once the producers free them.
 func TestSubmitRingFIFO(t *testing.T) {
 	r := NewSubmitRing(8)
+	buf := make([]RingWrite, 8)
 	for round := 0; round < 5; round++ { // several laps: slots must recycle
+		var positions []uint64
 		for i := 0; i < 6; i++ {
 			w := RingWrite{Addr: uint64(round*10 + i), Val: int64(i), Seq: uint64(i + 1), Src: 3}
-			if _, ok := r.Push(w); !ok {
+			pos, ok := r.Push(w)
+			if !ok {
 				t.Fatalf("round %d: push %d rejected", round, i)
 			}
+			positions = append(positions, pos)
 		}
 		if p := r.Pending(); p != 6 {
 			t.Fatalf("round %d: Pending = %d, want 6", round, p)
 		}
-		buf := make([]RingWrite, 8)
 		n := r.Drain(buf)
 		if n != 6 {
 			t.Fatalf("round %d: Drain = %d, want 6", round, n)
@@ -32,19 +45,34 @@ func TestSubmitRingFIFO(t *testing.T) {
 			if w != want {
 				t.Fatalf("round %d: slot %d = %+v, want %+v", round, i, w, want)
 			}
+			buf[i].Verdict = VerdictApplied + Verdict(i%2) // alternate applied/rejected
 		}
-		r.Release(n)
+		r.Release(buf[:n])
+		if p := r.Pending(); p != 0 {
+			t.Fatalf("round %d: Pending = %d after Release, want 0", round, p)
+		}
+		for i, pos := range positions {
+			if v, want := r.Verdict(pos), VerdictApplied+Verdict(i%2); v != want {
+				t.Fatalf("round %d: slot %d verdict %d, want %d", round, i, v, want)
+			}
+			r.Free(pos)
+		}
 	}
 }
 
 // TestSubmitRingFullRejects fills the ring and checks the next push fails
-// cleanly — no side effects, and the ring still drains intact.
+// cleanly — no side effects, and the ring still drains intact. A settled
+// slot stays claimed until its producer frees it: the ring reports full
+// until then, so no later lap can overwrite a verdict nobody has read.
 func TestSubmitRingFullRejects(t *testing.T) {
 	r := NewSubmitRing(4)
+	var positions []uint64
 	for i := 0; i < 4; i++ {
-		if _, ok := r.Push(RingWrite{Addr: uint64(i)}); !ok {
+		pos, ok := r.Push(RingWrite{Addr: uint64(i)})
+		if !ok {
 			t.Fatalf("push %d rejected before full", i)
 		}
+		positions = append(positions, pos)
 	}
 	if _, ok := r.Push(RingWrite{Addr: 99}); ok {
 		t.Fatal("push into a full ring succeeded")
@@ -58,17 +86,26 @@ func TestSubmitRingFullRejects(t *testing.T) {
 			t.Fatalf("slot %d addr = %d after rejected push, want %d", i, w.Addr, i)
 		}
 	}
-	r.Release(4)
-	// Space reclaimed: pushes succeed again.
+	r.Release(settle(buf, VerdictApplied))
+	if _, ok := r.Push(RingWrite{Addr: 5}); ok {
+		t.Fatal("push succeeded over a settled slot its producer never freed")
+	}
+	if v := r.Verdict(positions[0]); v != VerdictApplied {
+		t.Fatalf("verdict = %d after the refused push, want applied", v)
+	}
+	r.Free(positions[0])
 	if _, ok := r.Push(RingWrite{Addr: 5}); !ok {
-		t.Fatal("push rejected after Release")
+		t.Fatal("push rejected after the head slot was freed")
+	}
+	if _, ok := r.Push(RingWrite{Addr: 6}); ok {
+		t.Fatal("push succeeded over the second, still unfreed slot")
 	}
 }
 
 // TestSubmitRingWraparound starts the ring's positions just below the top of
 // uint64 so tail, head and the slot state words all wrap mid-test: the
-// modular comparisons must keep FIFO order, full detection and consumption
-// tracking working across the wrap.
+// modular comparisons must keep FIFO order, full detection and the verdict
+// encoding working across the wrap.
 func TestSubmitRingWraparound(t *testing.T) {
 	const size = 4
 	r := newSubmitRingAt(size, math.MaxUint64-5) // wraps on the 7th push
@@ -82,8 +119,8 @@ func TestSubmitRingWraparound(t *testing.T) {
 			if !ok {
 				t.Fatalf("push %d rejected", next)
 			}
-			if r.Consumed(pos) {
-				t.Fatalf("position %d consumed before drain", pos)
+			if v := r.Verdict(pos); v != VerdictPending {
+				t.Fatalf("position %d settled (%d) before drain", pos, v)
 			}
 			positions = append(positions, pos)
 			next++
@@ -96,64 +133,75 @@ func TestSubmitRingWraparound(t *testing.T) {
 			if want := next - 3 + uint64(i); w.Addr != want {
 				t.Fatalf("round %d: drained addr %d, want %d (FIFO broke at wrap)", round, w.Addr, want)
 			}
+			buf[i].Verdict = VerdictApplied + Verdict(w.Addr%2)
 		}
-		r.Release(n)
-		for _, pos := range positions {
-			if !r.Consumed(pos) {
-				t.Fatalf("position %d not consumed after Release", pos)
+		r.Release(buf[:n])
+		for i, pos := range positions {
+			if v, want := r.Verdict(pos), VerdictApplied+Verdict(buf[i].Addr%2); v != want {
+				t.Fatalf("position %d verdict %d after Release, want %d", pos, v, want)
 			}
-			r.AwaitConsumed(pos) // must return immediately
+			r.Free(pos)
 		}
 	}
 }
 
-// TestSubmitRingConcurrentProducers hammers one ring from many producers
-// while a single consumer drains, applies to a model map, and releases. Every
-// pushed write must be drained exactly once, in a per-producer FIFO order.
-// Run under -race this is also the memory-model check on the publish edge.
+// TestSubmitRingConcurrentProducers hammers one ring the way the home shard
+// uses it: every producer pushes, then reads its own slot's verdict,
+// draining the ring itself under a shared mutex when the mutex is free and
+// yielding when it is not. The drainer rejects odd tokens. Every write must
+// be drained exactly once, payload intact, and every producer must read
+// back exactly the verdict its write was given. Run under -race this is
+// also the memory-model check on the publish and settle edges.
 func TestSubmitRingConcurrentProducers(t *testing.T) {
 	const (
 		producers = 8
-		perProd   = 250 // kept modest: every push handshakes with the consumer
+		perProd   = 250
 	)
 	r := NewSubmitRing(64)
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	done := make(chan map[uint64]int, 1)
-	go func() {
-		seen := make(map[uint64]int) // seq -> count
-		buf := make([]RingWrite, 64)
-		for !stop.Load() || r.Pending() > 0 {
-			n := r.Drain(buf)
-			for _, w := range buf[:n] {
-				// Payload integrity: all fields carry the same token.
-				if w.Addr != w.Seq || w.Val != int64(w.Seq) {
-					t.Errorf("torn slot: %+v", w)
-				}
-				seen[w.Seq]++
+	var mu sync.Mutex
+	buf := make([]RingWrite, 64)
+	seen := make(map[uint64]int) // seq -> drains; guarded by mu
+	drain := func() {
+		batch := buf[:r.Drain(buf)]
+		for i, w := range batch {
+			if w.Addr != w.Seq || w.Val != int64(w.Seq) || w.Verdict != VerdictPending {
+				t.Errorf("torn slot: %+v", w)
 			}
-			r.Release(n)
+			seen[w.Seq]++
+			batch[i].Verdict = VerdictApplied + Verdict(w.Seq%2)
 		}
-		done <- seen
-	}()
+		r.Release(batch)
+	}
+	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
 				tok := uint64(p*perProd + i + 1)
-				w := RingWrite{Addr: tok, Val: int64(tok), Seq: tok, Src: int32(p)}
-				pos, ok := r.Push(w)
+				pos, ok := r.Push(RingWrite{Addr: tok, Val: int64(tok), Seq: tok, Src: int32(p)})
 				for !ok { // full: spin like the PE fallback would retry
-					pos, ok = r.Push(w)
+					pos, ok = r.Push(RingWrite{Addr: tok, Val: int64(tok), Seq: tok, Src: int32(p)})
 				}
-				r.AwaitConsumed(pos)
+				for {
+					if v := r.Verdict(pos); v != VerdictPending {
+						if want := VerdictApplied + Verdict(tok%2); v != want {
+							t.Errorf("token %d: verdict %d, want %d", tok, v, want)
+						}
+						r.Free(pos)
+						break
+					}
+					if mu.TryLock() {
+						drain()
+						mu.Unlock()
+					} else {
+						runtime.Gosched()
+					}
+				}
 			}
 		}(p)
 	}
 	wg.Wait()
-	stop.Store(true)
-	seen := <-done
 	if len(seen) != producers*perProd {
 		t.Fatalf("drained %d distinct writes, want %d", len(seen), producers*perProd)
 	}
@@ -164,27 +212,75 @@ func TestSubmitRingConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestSubmitRingAwaitConsumedBlocks pins the completion contract AwaitConsumed
-// gives the PE: it must not return before the consumer has released the slot,
-// or a PE could read stale memory right after its own acknowledged write.
-func TestSubmitRingAwaitConsumedBlocks(t *testing.T) {
+// TestSubmitRingVerdictWaitsForRelease pins the completion contract the PE
+// relies on: a write's verdict stays pending through the drain and is only
+// published by Release, or a PE could read stale memory right after its own
+// acknowledged write.
+func TestSubmitRingVerdictWaitsForRelease(t *testing.T) {
 	r := NewSubmitRing(4)
 	pos, ok := r.Push(RingWrite{Addr: 1, Val: 2})
 	if !ok {
 		t.Fatal("push rejected")
 	}
-	if r.Consumed(pos) {
-		t.Fatal("consumed before drain")
+	if v := r.Verdict(pos); v != VerdictPending {
+		t.Fatalf("verdict %d before drain", v)
 	}
 	buf := make([]RingWrite, 4)
 	if n := r.Drain(buf); n != 1 {
 		t.Fatalf("Drain = %d, want 1", n)
 	}
-	if r.Consumed(pos) {
-		t.Fatal("consumed after drain but before Release: producer could race the apply")
+	if v := r.Verdict(pos); v != VerdictPending {
+		t.Fatalf("verdict %d after drain but before Release: producer could race the apply", v)
 	}
-	r.Release(1)
-	r.AwaitConsumed(pos) // must return now
+	r.Release(settle(buf[:1], VerdictRejected))
+	if v := r.Verdict(pos); v != VerdictRejected {
+		t.Fatalf("verdict %d after Release, want rejected", v)
+	}
+}
+
+// TestApplyWritesRejectsAfterExtract walks ring writes through a handoff on
+// the old home's side: once the directory flips and Extract removes the
+// block, ApplyWrites marks the block's writes rejected without panicking or
+// touching memory, still applies the writes of a block it owns, and skips
+// writes settled before the call. The owned word and run writes of the
+// message and own-home paths refuse the migrated block the same way.
+func TestApplyWritesRejectsAfterExtract(t *testing.T) {
+	space := NewSpace(2, 8)
+	dir := NewDirectory(2, 0)
+	seg := NewSegment(space, 0)
+	seg.SetDirectory(dir)
+	const moved, kept = 3, 2*8*2 + 1 // blocks 0 and 2, both homed at kernel 0
+
+	batch := []RingWrite{{Addr: moved, Val: 5}, {Addr: kept, Val: 6}}
+	if n := seg.ApplyWrites(batch); n != 2 || batch[0].Verdict != VerdictApplied || batch[1].Verdict != VerdictApplied {
+		t.Fatalf("ApplyWrites on owned blocks = %d, verdicts %d/%d", n, batch[0].Verdict, batch[1].Verdict)
+	}
+
+	dir.SetOverride(0, 1)
+	snap := seg.Extract(func(b uint64) bool { return !dir.Owns(0, b) })
+	if len(snap) != 1 || snap[0].Index != 0 || snap[0].Words[moved] != 5 {
+		t.Fatalf("extracted snapshot %v lost the write applied before the flip", snap)
+	}
+	batch = []RingWrite{
+		{Addr: moved, Val: 7},
+		{Addr: kept, Val: 8},
+		{Addr: kept, Val: 9, Verdict: VerdictApplied}, // a dedup duplicate
+	}
+	if n := seg.ApplyWrites(batch); n != 1 {
+		t.Fatalf("ApplyWrites applied %d writes, want 1 (the owned block's)", n)
+	}
+	if batch[0].Verdict != VerdictRejected || batch[1].Verdict != VerdictApplied || batch[2].Verdict != VerdictApplied {
+		t.Fatalf("verdicts %d/%d/%d, want rejected/applied/applied", batch[0].Verdict, batch[1].Verdict, batch[2].Verdict)
+	}
+	if v := seg.ReadWord(kept); v != 8 {
+		t.Fatalf("owned word = %d, want 8 (the pre-settled write must be skipped)", v)
+	}
+	if seg.WriteWordOwned(moved, 1) || seg.WriteOwned(moved, []int64{1, 2}) {
+		t.Fatal("owned write accepted a migrated block")
+	}
+	if seg.Has(0) {
+		t.Fatal("a rejected write re-materialised the migrated block")
+	}
 }
 
 // TestRingApplyWritesVisibleToDirectRead interleaves ring-applied and

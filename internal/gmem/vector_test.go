@@ -7,17 +7,19 @@ import "testing"
 func TestWordAccessors(t *testing.T) {
 	s := NewSpace(2, 8)
 	g := NewSegment(s, 0)
-	g.WriteWord(3, -77)
+	if !g.WriteWordOwned(3, -77) {
+		t.Fatal("WriteWordOwned refused a homed word")
+	}
 	if got := g.ReadWord(3); got != -77 {
 		t.Fatalf("ReadWord = %d, want -77", got)
 	}
 	if got := g.Read(3, 1)[0]; got != -77 {
-		t.Fatalf("Read disagrees with WriteWord: %d", got)
+		t.Fatalf("Read disagrees with WriteWordOwned: %d", got)
 	}
 	// Warm the block so the lazy allocation doesn't count.
-	g.WriteWord(4, 0)
+	g.WriteWordOwned(4, 0)
 	allocs := testing.AllocsPerRun(500, func() {
-		g.WriteWord(4, 9)
+		g.WriteWordOwned(4, 9)
 		_ = g.ReadWord(4)
 	})
 	if allocs > 0 {
@@ -75,7 +77,6 @@ func TestVectorAccessorsRejectForeignAddress(t *testing.T) {
 	g := NewSegment(s, 0)
 	for _, f := range []func(){
 		func() { g.ReadWord(8) }, // block 1 is homed at kernel 1
-		func() { g.WriteWord(8, 1) },
 		func() { g.ReadInto(make([]int64, 1), 8) },
 		func() { g.ReadV(nil, []uint64{0, 8}, []int{1, 1}) },
 		func() { g.WriteV([]uint64{8}, []int{1}, []int64{1}) },
