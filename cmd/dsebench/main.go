@@ -19,6 +19,8 @@
 //	dsebench -sched              # multi-job scheduler load test: burst + Poisson job streams
 //	dsebench -saturate -quick -json out.json  # ...included in the snapshot
 //	dsebench -sched -quick -json out.json     # ...scheduler legs included too
+//	dsebench -quick -sched -saturate -json out.json -baseline BENCH_baseline.json
+//	                             # the full regression gate: every section, one baseline
 //
 // Figures print as aligned tables: one row per x value, one column per
 // series, exactly the rows/series the paper plots.

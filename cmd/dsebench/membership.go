@@ -40,7 +40,7 @@ func runMembership(seed uint64, quick bool) {
 			Latent: 1, JoinAtOp: join, MigrateEvery: mig},
 		// One-sided legs: the direct-read window and write rings must
 		// rebind when their blocks change home.
-		{Seed: seed, NumPE: 4, OpsPerPE: ops, Shards: 2, DirectReads: 1, Rings: 1,
+		{Seed: seed, NumPE: 4, OpsPerPE: ops, Shards: 2,
 			Latent: 1, JoinAtOp: join, LeavePE: 2, LeaveAtOp: leave, MigrateEvery: mig},
 		// A station kill overlapping the migration stream: handoffs stranded
 		// by the dead peer may fail, but no acknowledged write may be lost
@@ -55,7 +55,7 @@ func runMembership(seed uint64, quick bool) {
 		{Seed: seed, NumPE: 5, OpsPerPE: ops, Modes: true,
 			Latent: 1, JoinAtOp: join, LeavePE: 2, LeaveAtOp: leave, MigrateEvery: mig},
 		// The same mixed-tier churn over the one-sided window/ring paths.
-		{Seed: seed, NumPE: 5, OpsPerPE: ops, Modes: true, Shards: 2, DirectReads: 1, Rings: 1,
+		{Seed: seed, NumPE: 5, OpsPerPE: ops, Modes: true, Shards: 2,
 			Latent: 1, JoinAtOp: join, LeavePE: 2, LeaveAtOp: leave, MigrateEvery: mig},
 	}
 

@@ -42,8 +42,8 @@ func runStress(seed uint64, quick bool) {
 	})
 	// Sharded-kernel legs: the harshest lossy-caching corner and the
 	// peer-kill schedule again at 2 and 8 shards. Under the simulated
-	// transport sharding dispatches inline, so these must match the
-	// unsharded histories op for op — any divergence is a routing bug.
+	// transport sharding dispatches inline, so the caching legs must match
+	// the unsharded histories op for op — any divergence is a routing bug.
 	for _, shards := range []int{2, 8} {
 		configs = append(configs,
 			stress.Options{
@@ -56,19 +56,19 @@ func runStress(seed uint64, quick bool) {
 				KillPE: 2, KillAt: 2 * sim.Second, Shards: shards,
 			})
 	}
-	// One-sided legs: direct-read window plus write rings forced on, lossy
-	// and with an early kill (rings-on schedules run fast, so the kill must
-	// sit well inside the run to fire).
+	// One-sided legs (more than one shard opens the window and the write
+	// rings), lossy and with an early kill (one-sided schedules run fast,
+	// so the kill must sit well inside the run to fire).
 	for _, shards := range []int{2, 8} {
 		configs = append(configs,
 			stress.Options{
 				Seed: seed, NumPE: 4, OpsPerPE: ops, Loss: 0.05,
-				Shards: shards, DirectReads: 1, Rings: 1,
+				Shards: shards,
 			},
 			stress.Options{
 				Seed: seed, NumPE: 4, OpsPerPE: ops, Loss: 0.02,
 				KillPE: 2, KillAt: 100 * sim.Millisecond,
-				Shards: shards, DirectReads: 1, Rings: 1,
+				Shards: shards,
 			})
 	}
 	// Mixed consistency-tier legs: strong, release and lease allocations in
@@ -86,7 +86,7 @@ func runStress(seed uint64, quick bool) {
 		},
 		stress.Options{
 			Seed: seed, NumPE: 4, OpsPerPE: ops, Modes: true,
-			Shards: 2, DirectReads: 1, Rings: 1, Loss: 0.05,
+			Shards: 2, Loss: 0.05,
 		},
 		stress.Options{
 			Seed: seed, NumPE: 4, OpsPerPE: ops, Modes: true, Loss: 0.02,

@@ -19,9 +19,8 @@ type SaturationPoint struct {
 	Workload  string  `json:"workload"` // "read" or "mixed"
 	NumPE     int     `json:"num_pe"`
 	Shards    int     `json:"shards"`
-	Direct    bool    `json:"direct"`          // one-sided read window active
-	Rings     bool    `json:"rings,omitempty"` // one-sided write rings active
-	Ops       uint64  `json:"ops"`             // total remote ops issued by the hammering PEs
+	Direct    bool    `json:"direct"` // one-sided route active
+	Ops       uint64  `json:"ops"`    // total remote ops issued by the hammering PEs
 	OpsPerSec float64 `json:"ops_per_sec"`
 	DirectGM  uint64  `json:"direct_gm"`         // ops resolved through the window
 	RingGM    uint64  `json:"ring_gm,omitempty"` // ops resolved through a submission ring
@@ -35,24 +34,21 @@ const saturationBlocks = 64
 // SaturationOptions configures one saturation measurement.
 type SaturationOptions struct {
 	NumPE    int
-	Shards   int
+	Shards   int // kernel shards, >= 1; more than one opens the one-sided route
 	OpsPerPE int
 	Mixed    bool // 1-in-4 ops are writes
-	// DirectReads passes through core.Config.DirectReads; 0 = auto
-	// (window on iff Shards > 1).
-	DirectReads int
-	// WriteRings passes through core.Config.WriteRings; 0 = auto (rings on
-	// wherever the window is, given shard workers), <0 forces writes back
-	// onto the message path — the PR 6-comparable configuration.
-	WriteRings int
 }
 
 // MeasureSaturation runs one saturation point on the in-process transport:
 // PEs 1..NumPE-1 each issue OpsPerPE scalar operations against blocks homed
 // at kernel 0, and the barrier-bracketed wall time at PE 0 yields the
 // serviced ops/sec. Accesses stride whole blocks so consecutive ops land on
-// different shards (and different segment lock stripes).
+// different shards (and different segment lock stripes). A point whose
+// route counters contradict its shard count is an error (see checkRoute).
 func MeasureSaturation(o SaturationOptions) (SaturationPoint, error) {
+	if o.Shards < 1 {
+		return SaturationPoint{}, fmt.Errorf("saturation: Shards = %d, want >= 1", o.Shards)
+	}
 	var (
 		mu      sync.Mutex
 		elapsed time.Duration
@@ -61,8 +57,6 @@ func MeasureSaturation(o SaturationOptions) (SaturationPoint, error) {
 		NumPE:        o.NumPE,
 		Transport:    core.TransportInproc,
 		KernelShards: o.Shards,
-		DirectReads:  o.DirectReads,
-		WriteRings:   o.WriteRings,
 	}
 	res, err := core.Run(cfg, func(pe *core.PE) error {
 		bw := pe.Space().BlockWords
@@ -128,15 +122,38 @@ func MeasureSaturation(o SaturationOptions) (SaturationPoint, error) {
 		DirectGM: res.Total.DirectGM,
 		Direct:   res.Total.DirectGM > 0,
 		RingGM:   res.Total.RingGM,
-		Rings:    res.Total.RingGM > 0,
 	}
+	reads := ops
 	if o.Mixed {
 		pt.Workload = "mixed"
+		reads -= uint64(o.NumPE-1) * uint64(o.OpsPerPE/4)
+	}
+	if err := checkRoute(pt, reads); err != nil {
+		return SaturationPoint{}, err
 	}
 	if secs > 0 {
 		pt.OpsPerSec = float64(ops) / secs
 	}
 	return pt, nil
+}
+
+// checkRoute fails a point whose route counters contradict its shape. One
+// shard keeps every op on the message path. More shards open the one-sided
+// route: every read must take the window, and a mixed point's writes must
+// take the rings — not every write, since one that finds its ring full
+// falls back to the message path.
+func checkRoute(pt SaturationPoint, reads uint64) error {
+	switch {
+	case pt.Shards == 1 && (pt.DirectGM != 0 || pt.RingGM != 0):
+		return fmt.Errorf("saturation %s shards=1: direct_gm=%d ring_gm=%d, want 0 (message path)",
+			pt.Workload, pt.DirectGM, pt.RingGM)
+	case pt.Shards > 1 && pt.DirectGM != reads:
+		return fmt.Errorf("saturation %s shards=%d: direct_gm=%d, want %d (every read through the window)",
+			pt.Workload, pt.Shards, pt.DirectGM, reads)
+	case pt.Shards > 1 && pt.Workload == "mixed" && pt.RingGM == 0:
+		return fmt.Errorf("saturation mixed shards=%d: ring_gm=0, want writes through the rings", pt.Shards)
+	}
+	return nil
 }
 
 // saturationRuns is how many times each saturation point is measured, with
@@ -162,9 +179,8 @@ func measureSaturationBest(o SaturationOptions) (SaturationPoint, error) {
 
 // SaturationSweep measures ops/sec into one home kernel across PE counts and
 // shard counts: the tentpole scaling figure (dsebench -saturate). quick
-// trims the op count, not the grid. Mixed points are measured twice where
-// the write rings can engage: once with rings forced off — the key stays
-// comparable against pre-ring baselines — and once with them on.
+// trims the op count, not the grid. One shard keeps every op on the message
+// path; more open the one-sided route (window reads, ring writes).
 func SaturationSweep(quick bool) ([]SaturationPoint, error) {
 	opsPerPE := 20000
 	if quick {
@@ -174,20 +190,13 @@ func SaturationSweep(quick bool) ([]SaturationPoint, error) {
 	for _, mixed := range []bool{false, true} {
 		for _, p := range []int{8, 16} {
 			for _, shards := range []int{1, 2, 4, 8} {
-				rings := []int{-1}
-				if mixed && shards > 1 {
-					rings = append(rings, 1) // the rings-on leg
+				pt, err := measureSaturationBest(SaturationOptions{
+					NumPE: p, Shards: shards, OpsPerPE: opsPerPE, Mixed: mixed,
+				})
+				if err != nil {
+					return nil, fmt.Errorf("saturation p=%d shards=%d: %w", p, shards, err)
 				}
-				for _, wr := range rings {
-					pt, err := measureSaturationBest(SaturationOptions{
-						NumPE: p, Shards: shards, OpsPerPE: opsPerPE,
-						Mixed: mixed, WriteRings: wr,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("saturation p=%d shards=%d rings=%d: %w", p, shards, wr, err)
-					}
-					pts = append(pts, pt)
-				}
+				pts = append(pts, pt)
 			}
 		}
 	}
@@ -212,11 +221,7 @@ func SaturationTable(pts []SaturationPoint) *trace.Table {
 	rows := map[key]map[int]SaturationPoint{}
 	var order []key
 	for _, pt := range pts {
-		w := pt.Workload
-		if pt.Rings {
-			w += "+rings" // ring-on legs get their own row
-		}
-		k := key{w, pt.NumPE}
+		k := key{pt.Workload, pt.NumPE}
 		if rows[k] == nil {
 			rows[k] = map[int]SaturationPoint{}
 			order = append(order, k)

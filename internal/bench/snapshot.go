@@ -54,7 +54,7 @@ type Snapshot struct {
 	// ConsistencyTiers is the per-mode gauss ablation (DESIGN.md §14):
 	// message counts and tier-machinery counters for each consistency mode,
 	// deterministic on the simulated transport and gated by Compare like
-	// the workload metrics. Absent from baselines predating the tiers.
+	// the workload metrics.
 	ConsistencyTiers []TierMetrics `json:"consistency_tiers,omitempty"`
 }
 
@@ -91,11 +91,10 @@ type WorkloadMetrics struct {
 	DupRequests  uint64 `json:"dup_requests"`
 
 	// Checkpoint/restart cost, measured only for the gauss workload (zero
-	// and omitted elsewhere, and in baselines predating the subsystem —
-	// Compare's old > 0 guard keeps those comparable). CkptOverheadPct is
-	// the relative elapsed-time cost of one coordinated checkpoint of the
-	// full solved system; SnapshotBytes is that snapshot's encoded size
-	// across all PEs. The ElapsedUS above always comes from a
+	// and omitted elsewhere; Compare's old > 0 guard skips those).
+	// CkptOverheadPct is the relative elapsed-time cost of one coordinated
+	// checkpoint of the full solved system; SnapshotBytes is that
+	// snapshot's encoded size across all PEs. The ElapsedUS above always comes from a
 	// checkpointing-free run: with Config.Ckpt nil the subsystem costs
 	// nothing on the hot path.
 	CkptOverheadPct float64 `json:"ckpt_overhead_pct,omitempty"`
@@ -498,8 +497,6 @@ func Compare(base, cur *Snapshot) []string {
 		worse(key+" msgs_sent", float64(old.MsgsSent), float64(now.MsgsSent))
 		worse(key+" bytes_sent", float64(old.BytesSent), float64(now.BytesSent))
 		worse(key+" rtt p95", old.RTT.P95, now.RTT.P95)
-		// Baselines predating the checkpoint subsystem carry 0 here and
-		// pass the old > 0 guard.
 		worse(key+" ckpt_overhead_pct", old.CkptOverheadPct, now.CkptOverheadPct)
 		if now.AllocPerRemoteOp > old.AllocPerRemoteOp*(1+regressionTolerance)+allocEpsilon {
 			regressions = append(regressions,
@@ -518,9 +515,8 @@ func Compare(base, cur *Snapshot) []string {
 	// Consistency-tier rows are deterministic like the workload metrics:
 	// the >10% rule on messages, bytes, msgs/op and the tier-machinery
 	// counters (a jump in flushes or lease churn means a fence or expiry
-	// started firing where it didn't). Baselines predating the tiers carry
-	// no rows and are skipped; rows missing from the current snapshot are
-	// reported like missing workloads.
+	// started firing where it didn't). Rows missing from the current
+	// snapshot are reported like missing workloads.
 	curTiers := map[string]*TierMetrics{}
 	for i := range cur.ConsistencyTiers {
 		t := &cur.ConsistencyTiers[i]
@@ -542,56 +538,47 @@ func Compare(base, cur *Snapshot) []string {
 		worse(key+" lease_expiries", float64(old.LeaseExpiries), float64(now.LeaseExpiries))
 	}
 
-	// Saturation points are wall-clock throughput, so run-to-run noise is
-	// real: only a collapse below saturationFloor of the baseline — the kind
-	// a lost shard or a serialised fast path produces — counts as a
-	// regression. Points absent from either side are skipped (baselines
-	// predate the sweep, or it wasn't requested this run).
-	curSat := map[string]*SaturationPoint{}
-	for i := range cur.Saturation {
-		p := &cur.Saturation[i]
-		curSat[satKey(p)] = p
-	}
-	for i := range base.Saturation {
-		old := &base.Saturation[i]
-		key := satKey(old)
-		now, ok := curSat[key]
-		if !ok || old.OpsPerSec <= 0 {
-			continue
-		}
-		if now.OpsPerSec < old.OpsPerSec*saturationFloor {
-			regressions = append(regressions,
-				fmt.Sprintf("saturation %s ops/sec: %.0f -> %.0f (below %.0f%% of baseline)",
-					key, old.OpsPerSec, now.OpsPerSec, 100*saturationFloor))
-		}
-	}
-	// Scheduler load-test legs are wall-clock like saturation points: gate
-	// job throughput by collapse only, skip legs absent from either side.
-	// Namespace violations are not noise at any count — SchedSweep already
-	// refuses to produce a point with violations, but a hand-edited or
-	// corrupted snapshot should fail the gate too.
-	curSched := map[string]*SchedPoint{}
-	for i := range cur.Sched {
-		p := &cur.Sched[i]
-		curSched[schedKey(p)] = p
-	}
+	// Saturation points and scheduler legs are wall-clock throughput, so
+	// run-to-run noise is real: gateWallClock only flags a collapse below
+	// saturationFloor of the baseline — the kind a lost shard or a
+	// serialised fast path produces — or a vanished row. Namespace
+	// violations are not noise at any count — SchedSweep already refuses
+	// to produce a point with violations, but a hand-edited or corrupted
+	// snapshot should fail the gate too.
+	regressions = append(regressions, gateWallClock("saturation", "ops/sec", base.Saturation, cur.Saturation,
+		satKey, func(p *SaturationPoint) float64 { return p.OpsPerSec })...)
 	for i := range cur.Sched {
 		if p := &cur.Sched[i]; p.Violations != 0 {
 			regressions = append(regressions,
 				fmt.Sprintf("sched %s: %d cross-namespace violations", schedKey(p), p.Violations))
 		}
 	}
-	for i := range base.Sched {
-		old := &base.Sched[i]
-		key := schedKey(old)
-		now, ok := curSched[key]
-		if !ok || old.JobsPerSec <= 0 {
-			continue
-		}
-		if now.JobsPerSec < old.JobsPerSec*saturationFloor {
+	regressions = append(regressions, gateWallClock("sched", "jobs/sec", base.Sched, cur.Sched,
+		schedKey, func(p *SchedPoint) float64 { return p.JobsPerSec })...)
+	return regressions
+}
+
+// gateWallClock compares one wall-clock snapshot section row by row and
+// describes each baseline row whose rate fell below saturationFloor of the
+// baseline's. A run without the section (cur empty) skips it; a run with it
+// must still carry every baseline row.
+func gateWallClock[T any](section, unit string, base, cur []T, key func(*T) string, rate func(*T) float64) []string {
+	var regressions []string
+	curByKey := map[string]*T{}
+	for i := range cur {
+		curByKey[key(&cur[i])] = &cur[i]
+	}
+	for i := range base {
+		old := &base[i]
+		now, ok := curByKey[key(old)]
+		switch {
+		case !ok && len(cur) > 0:
 			regressions = append(regressions,
-				fmt.Sprintf("sched %s jobs/sec: %.0f -> %.0f (below %.0f%% of baseline)",
-					key, old.JobsPerSec, now.JobsPerSec, 100*saturationFloor))
+				fmt.Sprintf("%s %s: row missing from current snapshot", section, key(old)))
+		case ok && rate(now) < rate(old)*saturationFloor:
+			regressions = append(regressions,
+				fmt.Sprintf("%s %s %s: %.0f -> %.0f (below %.0f%% of baseline)",
+					section, key(old), unit, rate(old), rate(now), 100*saturationFloor))
 		}
 	}
 	return regressions
@@ -601,13 +588,7 @@ func Compare(base, cur *Snapshot) []string {
 // saturation point must keep; anything above it is treated as noise.
 const saturationFloor = 0.4
 
-// satKey names a saturation point for baseline matching. Ring-on legs get a
-// "/r" suffix — a distinct key — so baselines predating the write rings
-// simply skip them instead of comparing a ring run against a message run.
+// satKey names a saturation point for baseline matching.
 func satKey(p *SaturationPoint) string {
-	k := fmt.Sprintf("%s/p%d/s%d", p.Workload, p.NumPE, p.Shards)
-	if p.Rings {
-		k += "/r"
-	}
-	return k
+	return fmt.Sprintf("%s/p%d/s%d", p.Workload, p.NumPE, p.Shards)
 }

@@ -127,8 +127,7 @@ func TestCompareFlagsRegressions(t *testing.T) {
 
 // TestCompareSaturationFloor pins the wide-margin rule for wall-clock
 // saturation points: drops above 40% of baseline are noise, a collapse below
-// it is a regression, and points missing from either side are ignored
-// (pre-sweep baselines, or a run without -saturate).
+// it is a regression, and a run without -saturate skips the section.
 func TestCompareSaturationFloor(t *testing.T) {
 	pt := func(ops float64) SaturationPoint {
 		return SaturationPoint{Workload: "read", NumPE: 8, Shards: 4, OpsPerSec: ops}
@@ -149,6 +148,31 @@ func TestCompareSaturationFloor(t *testing.T) {
 	}
 }
 
+// TestCompareFlagsVanishedRows: a saturation point or scheduler leg the
+// baseline has is a regression when the current snapshot carries that
+// section but lacks the row — a deleted sweep leg must not pass unnoticed.
+func TestCompareFlagsVanishedRows(t *testing.T) {
+	read := SaturationPoint{Workload: "read", NumPE: 8, Shards: 4, OpsPerSec: 1000000}
+	mixed := read
+	mixed.Workload = "mixed"
+	burst := SchedPoint{Leg: "burst", Workers: 4, Jobs: 100, JobsPerSec: 1000}
+	poisson := SchedPoint{Leg: "poisson", Workers: 4, Jobs: 100, RatePerSec: 500, JobsPerSec: 400}
+	base := &Snapshot{
+		Saturation: []SaturationPoint{read, mixed},
+		Sched:      []SchedPoint{burst, poisson},
+	}
+	cur := &Snapshot{
+		Saturation: []SaturationPoint{read},
+		Sched:      []SchedPoint{burst},
+	}
+	if regs := Compare(base, cur); len(regs) != 2 {
+		t.Fatalf("want the missing point and leg flagged, got %d: %v", len(regs), regs)
+	}
+	if regs := Compare(base, base); len(regs) != 0 {
+		t.Fatalf("identical sections flagged: %v", regs)
+	}
+}
+
 // TestMeasureSaturationSmoke runs one tiny saturation point end to end and
 // sanity-checks the resulting cell.
 func TestMeasureSaturationSmoke(t *testing.T) {
@@ -162,11 +186,40 @@ func TestMeasureSaturationSmoke(t *testing.T) {
 	if !p.Direct || p.DirectGM == 0 {
 		t.Fatalf("direct window expected on by default at shards=2: %+v", p)
 	}
-	p2, err := MeasureSaturation(SaturationOptions{NumPE: 4, Shards: 1, OpsPerPE: 200, DirectReads: -1})
+	p2, err := MeasureSaturation(SaturationOptions{NumPE: 4, Shards: 1, OpsPerPE: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2.Direct || p2.DirectGM != 0 {
-		t.Fatalf("direct window active when forced off: %+v", p2)
+		t.Fatalf("direct window active at shards=1: %+v", p2)
+	}
+}
+
+// TestSaturationRouteAssertions runs small mixed points at one and two
+// shards, each of which must pass its route check, then feeds checkRoute
+// counters that contradict their shape.
+func TestSaturationRouteAssertions(t *testing.T) {
+	const ops = 202 // 50 writes and 152 reads per hammering PE
+	for _, shards := range []int{1, 2} {
+		p, err := MeasureSaturation(SaturationOptions{NumPE: 3, Shards: shards, OpsPerPE: ops, Mixed: true})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if shards > 1 && (p.DirectGM != 2*152 || p.RingGM == 0) {
+			t.Fatalf("shards=%d: implausible one-sided point: %+v", shards, p)
+		}
+	}
+	for _, pt := range []SaturationPoint{
+		{Workload: "read", Shards: 1, DirectGM: 1},
+		{Workload: "mixed", Shards: 1, RingGM: 1},
+		{Workload: "read", Shards: 2, DirectGM: 9},
+		{Workload: "mixed", Shards: 4, DirectGM: 10},
+	} {
+		if checkRoute(pt, 10) == nil {
+			t.Errorf("contradictory counters passed: %+v", pt)
+		}
+	}
+	if err := checkRoute(SaturationPoint{Workload: "mixed", Shards: 2, DirectGM: 10, RingGM: 1}, 10); err != nil {
+		t.Errorf("ring-full fallback rejected: %v", err)
 	}
 }

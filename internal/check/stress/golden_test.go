@@ -78,25 +78,25 @@ var goldenRoutes = []struct {
 	history string
 	report  string
 }{
-	{"message", stress.Options{Shards: 1, DirectReads: -1},
+	{"message", stress.Options{Shards: 1},
 		"f90855cf12ba9f7c63c6ada254a5ec522661486cc030e743afe32376973c63b4",
 		"dafd7c8f84a3bd7b510061ef0390376a1a59f61969d3dab3381853f11a509987"},
-	{"one-sided", stress.Options{Shards: 2, DirectReads: 1, Rings: 1},
+	{"one-sided", stress.Options{Shards: 2},
 		"f67f35d299dfee4c402c331f6a665108dd0f317ffee945801a110704d5ddb671",
 		"dafd7c8f84a3bd7b510061ef0390376a1a59f61969d3dab3381853f11a509987"},
 	{"caching", stress.Options{Caching: true},
 		"be6ca400d2f30da4548ef174bd8212fa4026d61cfa0ad082fffd76f2fcd53787",
 		"dafd7c8f84a3bd7b510061ef0390376a1a59f61969d3dab3381853f11a509987"},
-	{"modes-one-sided", stress.Options{Shards: 2, DirectReads: 1, Rings: 1, Modes: true},
+	{"modes-one-sided", stress.Options{Shards: 2, Modes: true},
 		"53f4c374fb0916ec1e8406dad5f8fe430854b463723934a1b04da7b80e5d987b",
 		"ec3cc892e21bff723a86f22f727823169593768e41b58c01b819a1d35c8948fe"},
 	{"modes-churn", stress.Options{NumPE: 5, Modes: true, Latent: 1, JoinAtOp: 40, LeavePE: 3, LeaveAtOp: 120, MigrateEvery: 50},
 		"f76b7ff6bec8c57ab2b958f31a9d5fd9763f71de36237715adc2c63f5135b589",
 		"6f384f061d4a16f3489e335770bac56c0f1efa0a8de487fad6b79e9a734be39e"},
-	{"one-sided-churn", stress.Options{NumPE: 5, Shards: 2, DirectReads: 1, Rings: 1, Latent: 1, JoinAtOp: 40, LeavePE: 3, LeaveAtOp: 120, MigrateEvery: 50},
+	{"one-sided-churn", stress.Options{NumPE: 5, Shards: 2, Latent: 1, JoinAtOp: 40, LeavePE: 3, LeaveAtOp: 120, MigrateEvery: 50},
 		"52d7d308b16a443f979c87255c6368805c7d5388031197c81e49919f0479fd88",
 		"311f7643e25eca26dafc8fd56d5ab2dfc9a03f64d6a886e5e33f5b664aed2b74"},
-	{"message-loss", stress.Options{Shards: 1, DirectReads: -1, Loss: 0.05},
+	{"message-loss", stress.Options{Shards: 1, Loss: 0.05},
 		"dca78bd002ba9a6de7ba2a150b1e54f06b665d28cc0aec05dc53990c646bece0",
 		"e5d50801e08ee68c19d28ac6434b086719a2137c8dc3dff8f5c4399d03c219a0"},
 }

@@ -80,19 +80,13 @@ type Options struct {
 	// mentioning the corruption instead of restoring garbage.
 	FaultCorruptSnapshot bool
 	// Shards sets core.Config.KernelShards (0 keeps the default — one shard
-	// under the simulated transport). The simulated transport dispatches
-	// shards inline, so any shard count must replay bit-identically to the
-	// same Options with Shards unset: the history digest is the proof.
+	// under the simulated transport). Without Caching, Shards > 1 also
+	// opens the one-sided route: window reads and atomics, ring writes.
+	// The simulated transport dispatches shards inline and drains rings at
+	// the submit point, so every shard count replays deterministically;
+	// with Caching any shard count must replay bit-identically to Shards
+	// unset: the history digest is the proof.
 	Shards int
-	// DirectReads passes through core.Config.DirectReads (the one-sided read
-	// fast path; <0 forces it off, >0 forces it on where co-located).
-	DirectReads int
-	// Rings passes through core.Config.WriteRings (the one-sided write
-	// submission rings; <0 forces them off, >0 forces them on where the read
-	// window is wired). Under the simulated transport rings drain inline at
-	// the submit point, so ring runs replay deterministically like all
-	// others.
-	Rings int
 
 	// Membership schedule (requires the uncached protocol; incompatible
 	// with Recover). Latent provisions that many PEs at the tail of the id
@@ -146,12 +140,6 @@ func (o Options) String() string {
 	}
 	if o.Shards != 0 {
 		s += fmt.Sprintf(" shards=%d", o.Shards)
-	}
-	if o.DirectReads != 0 {
-		s += fmt.Sprintf(" direct=%d", o.DirectReads)
-	}
-	if o.Rings != 0 {
-		s += fmt.Sprintf(" rings=%d", o.Rings)
 	}
 	if o.Latent > 0 {
 		s += fmt.Sprintf(" latent=%d join@%d", o.Latent, o.JoinAtOp)
@@ -257,8 +245,6 @@ func Run(o Options) (*Result, error) {
 		RecordHistory:          true,
 		FaultDropInvalidations: o.FaultDropInvalidations,
 		KernelShards:           o.Shards,
-		DirectReads:            o.DirectReads,
-		WriteRings:             o.Rings,
 		LatentPEs:              o.Latent,
 		LeaseDuration:          o.LeaseDuration,
 		FaultSkipReleaseFlush:  o.FaultSkipReleaseFlush,

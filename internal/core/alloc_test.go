@@ -25,8 +25,8 @@ func TestRemoteWordOpsAllocationFree(t *testing.T) {
 		cfg      Config
 		oneSided bool
 	}{
-		{"message", Config{KernelShards: 1, DirectReads: -1, WriteRings: -1}, false},
-		{"one-sided", Config{KernelShards: 2, DirectReads: 1, WriteRings: 1}, true},
+		{"message", Config{KernelShards: 1}, false},
+		{"one-sided", Config{KernelShards: 2}, true},
 	} {
 		t.Run(route.name, func(t *testing.T) {
 			cfg := route.cfg

@@ -29,27 +29,23 @@ func runBench(b *testing.B, cfg Config, body Program) *Result {
 type gmRoute int
 
 const (
-	// routeMessage: one kernel shard, no window or ring, so every remote
-	// access is a request/reply through kernel service, wire codec and
-	// mailbox plumbing.
+	// routeMessage: one kernel shard, so every remote access is a
+	// request/reply through kernel service, wire codec and mailbox
+	// plumbing.
 	routeMessage gmRoute = iota
 	// routeWindow: direct reads and atomics on the co-located home's
-	// segment; rings off, so writes still message.
+	// segment.
 	routeWindow
-	// routeRing: window and write rings on; scalar writes go through the
-	// home shard's submission ring.
+	// routeRing: scalar writes through the home shard's submission ring.
 	routeRing
 )
 
-// routeConfig pins a 2-PE inproc cluster to route r for remote words.
+// routeConfig pins a 2-PE inproc cluster to route r for remote words. The
+// window and the rings are one route with one config: two shards open both.
 func routeConfig(cfg Config, r gmRoute) Config {
-	cfg.NumPE, cfg.WriteRings = 2, -1
-	cfg.KernelShards, cfg.DirectReads = 1, -1
+	cfg.NumPE, cfg.KernelShards = 2, 1
 	if r != routeMessage {
-		cfg.KernelShards, cfg.DirectReads = 2, 1
-	}
-	if r == routeRing {
-		cfg.WriteRings = 1
+		cfg.KernelShards = 2
 	}
 	return cfg
 }

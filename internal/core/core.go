@@ -151,29 +151,6 @@ type Config struct {
 	// GOMAXPROCS on real transports and to 1 under simulation; values are
 	// clamped to [1, gmem.SegStripes].
 	KernelShards int
-	// DirectReads controls the one-sided window: co-located PEs (inproc
-	// and simulated transports) resolve uncached reads — scalar, and each
-	// block-capped run of a block read or gather — and FetchAdd/CAS of a
-	// remote home directly on the home's seqlock-protected segment,
-	// without a request/reply message pair. 0 enables it automatically
-	// when the resolved KernelShards > 1; >0 forces it on; <0 forces it
-	// off. It is never active with Caching (reads must reach the
-	// directory) or Legacy (the old organisation has no shared address
-	// space), or over TCP.
-	DirectReads int
-	// WriteRings controls the one-sided write fast path: co-located PEs
-	// submit uncached writes into a remote home through a per-shard
-	// submission ring and apply them at the submit point, draining the
-	// ring under the home shard's mutex, so the write wakes neither the
-	// serve loop nor a shard worker and allocates no message. Tri-state
-	// like DirectReads: 0 enables rings automatically whenever the
-	// direct-read window is enabled; >0 forces them on (still subject to
-	// the window's co-location constraints); <0 forces them off. On real
-	// transports they additionally require shard workers (resolved
-	// KernelShards > 1), the only servicing contexts that take the shard
-	// mutex; under simulation the submit-point drain keeps virtual-time
-	// schedules deterministic.
-	WriteRings int
 	// LatentPEs starts the highest LatentPEs ranks outside the active
 	// membership: their kernels home no global-memory blocks (the probe rule
 	// skips latent members) and their PEs act as pure clients until they call
@@ -381,57 +358,27 @@ func Run(cfg Config, program Program) (*Result, error) {
 	}
 }
 
-// windowsEnabled decides whether the one-sided window (direct reads and
-// atomics) is on for this (fully defaulted) config. Transport co-location is the caller's
-// side of the bargain: only runSim and runReal-over-inproc wire windows at
-// all, because only there does every kernel's segment live in this process.
-func windowsEnabled(c *Config) bool {
-	if c.Caching || c.Legacy {
-		return false
-	}
-	if c.DirectReads > 0 {
-		return true
-	}
-	if c.DirectReads < 0 {
-		return false
-	}
-	return c.KernelShards > 1
+// oneSided decides the one-sided route from the cluster's shape: PEs read
+// and atomically update a remote home's segment directly (the window) and
+// apply scalar writes into its per-shard submission rings, with no
+// request/reply message. colocated says every kernel's segment lives in
+// this address space — the simulated transport, and inproc under Run; TCP
+// nodes only happen to share a process in tests and must behave like the
+// distributed deployment they model. The route also needs the uncached
+// protocol (Caching reads must reach the directory; Legacy has no shared
+// address space) and more than one shard: a ring producer drains under the
+// shard mutex, which on real transports only shard workers also take.
+// The one answer decides ring allocation, peer wiring and both fast paths.
+func oneSided(c *Config, colocated bool) bool {
+	return colocated && !c.Caching && !c.Legacy && c.KernelShards > 1
 }
 
-// ringsEnabled decides whether the one-sided write fast path is on for this
-// (fully defaulted) config. Rings ride on the read window's co-location
-// bargain (they submit into the home's address space), and their producers
-// drain them at the submit point under the shard mutex: on real transports
-// only shard workers service a shard under that mutex, while under
-// simulation every context is serialised anyway.
-func ringsEnabled(c *Config) bool {
-	if !windowsEnabled(c) || c.WriteRings < 0 {
-		return false
-	}
-	if c.Transport != TransportSim && c.KernelShards <= 1 {
-		return false // the serve loop services the shard without the mutex
-	}
-	return true
-}
-
-// wireWindows gives every kernel a direct view of every segment,
-// and — when the write fast path is on — a reference to every peer kernel
-// so PEs can reach a co-located home's submission rings. Called on every
-// (re)start, so a recovered cluster's fresh segments and rings are rebound
-// before any PE runs.
-func wireWindows(kernels []*Kernel, cfg *Config) {
-	wins := make([]*gmem.Segment, len(kernels))
-	for i, k := range kernels {
-		wins[i] = k.seg
-	}
+// wirePeers gives every kernel a reference to every kernel, opening the
+// one-sided route between them. Called on every (re)start, so a recovered
+// cluster's fresh segments and rings are rebound before any PE runs.
+func wirePeers(kernels []*Kernel) {
 	for _, k := range kernels {
-		k.windows = wins
-	}
-	if !ringsEnabled(cfg) {
-		return
-	}
-	for _, k := range kernels {
-		k.ringPeers = kernels
+		k.peers = kernels
 	}
 }
 
@@ -453,7 +400,8 @@ func RunOn(cfg Config, node transport.Node, program Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := newKernel(node.ID(), node, &c)
+	// A RunOn node shares no address space with its peers.
+	k := newKernel(node.ID(), node, &c, false)
 	pe := newPE(k)
 	done := make(chan struct{})
 	go func() {
@@ -543,18 +491,19 @@ func runSim(cfg *Config, program Program) (*Result, error) {
 	errs := make([]error, n)
 	var finish sim.Time
 	remaining := n
+	one := oneSided(cfg, true)
 	for i := 0; i < n; i++ {
 		i := i
 		nd := net.SimNode(i)
-		kernels[i] = newKernel(i, nd, cfg)
+		kernels[i] = newKernel(i, nd, cfg, one)
 		pes[i] = newPE(kernels[i])
 		eng.Spawn(fmt.Sprintf("dse-kernel-%d", i), func(p *sim.Proc) {
 			nd.BindSvc(p)
 			kernels[i].serve()
 		})
 	}
-	if windowsEnabled(cfg) {
-		wireWindows(kernels, cfg)
+	if one {
+		wirePeers(kernels)
 	}
 	for i := 0; i < n; i++ {
 		i := i
@@ -602,15 +551,13 @@ func runReal(cfg *Config, net realNetwork, program Program) (*Result, error) {
 	pes := make([]*PE, n)
 	errs := make([]error, n)
 	var svcWG, appWG sync.WaitGroup
+	one := oneSided(cfg, cfg.Transport == TransportInproc)
 	for i := 0; i < n; i++ {
-		kernels[i] = newKernel(i, net.Node(i), cfg)
+		kernels[i] = newKernel(i, net.Node(i), cfg, one)
 		pes[i] = newPE(kernels[i])
 	}
-	// Direct read windows need every segment in this address space: inproc
-	// qualifies, TCP nodes only happen to be co-located in tests and must
-	// behave like the distributed deployment they model.
-	if cfg.Transport == TransportInproc && windowsEnabled(cfg) {
-		wireWindows(kernels, cfg)
+	if one {
+		wirePeers(kernels)
 	}
 	var mu sync.Mutex
 	var finish sim.Time

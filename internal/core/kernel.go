@@ -122,16 +122,12 @@ type Kernel struct {
 	// another shard.
 	invCtr atomic.Uint64
 
-	// windows[i] is kernel i's segment when the one-sided window (direct
-	// reads and atomics) is enabled (co-located transports, caching off);
-	// nil otherwise. Read-only after cluster construction.
-	windows []*gmem.Segment
-
-	// ringPeers[i] is kernel i itself when the one-sided write fast path is
-	// enabled, so this kernel's PE can reach a co-located home's per-shard
-	// submission rings; nil otherwise. Read-only after cluster construction
-	// (rebound, like windows, on every recovery restart).
-	ringPeers []*Kernel
+	// peers[i] is kernel i when the one-sided route is open (see oneSided):
+	// this kernel's PE then reads and atomically updates peer segments
+	// directly and submits writes into their per-shard rings. nil
+	// otherwise. Read-only after cluster construction (rebound on every
+	// recovery restart).
+	peers []*Kernel
 
 	// dispatched is serve-goroutine scratch: set by dispatchGM when the
 	// message was handed to a shard worker, which then owns service-time
@@ -296,7 +292,9 @@ type invRound struct {
 	outstanding []invSend
 }
 
-func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
+// newKernel builds kernel id over node; rings gives each shard a submission
+// ring (the one-sided route's answer, see oneSided).
+func newKernel(id int, node transport.Node, cfg *Config, rings bool) *Kernel {
 	space := gmem.NewSpace(cfg.NumPE, cfg.GMBlockWords)
 	k := &Kernel{
 		id:        id,
@@ -330,7 +328,7 @@ func newKernel(id int, node transport.Node, cfg *Config) *Kernel {
 	k.workers = k.nshards > 1 && cfg.Transport != TransportSim
 	k.shards = make([]*kernelShard, k.nshards)
 	for i := range k.shards {
-		k.shards[i] = newKernelShard(k, i, ringsEnabled(cfg))
+		k.shards[i] = newKernelShard(k, i, rings)
 	}
 	node.SetPeerDown(k.peerDown)
 	if cfg.Caching {

@@ -27,7 +27,7 @@ func testKernels(t *testing.T, n int, mutate func(cfg *Config)) (*inproc.Net, []
 	t.Cleanup(net.Stop)
 	ks := make([]*Kernel, n)
 	for i := 0; i < n; i++ {
-		ks[i] = newKernel(i, net.Node(i), &c)
+		ks[i] = newKernel(i, net.Node(i), &c, oneSided(&c, true))
 	}
 	return net, ks
 }

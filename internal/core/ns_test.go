@@ -18,8 +18,8 @@ import (
 // unbound PE-side — the "forged requester" a compromised PE guard would
 // produce. Every out-of-region request must come back as the typed
 // *NamespaceError carrying the bound region, and be counted as a kernel
-// violation. Windows and rings are forced off so every access takes the
-// message path.
+// violation. One shard keeps the one-sided route closed, so every access
+// takes the message path.
 func TestNamespaceKernelEnforcement(t *testing.T) {
 	const bw = 32
 	// PE 1's namespace: blocks 8..12, words [256, 384).
@@ -65,7 +65,7 @@ func TestNamespaceKernelEnforcement(t *testing.T) {
 	}
 	res, err := Run(Config{
 		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 1, DirectReads: -1, WriteRings: -1,
+		KernelShards: 1,
 	}, prog)
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())
@@ -143,7 +143,7 @@ func TestNamespacePEGuardOneSidedPaths(t *testing.T) {
 	}
 	res, err := Run(Config{
 		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 2, DirectReads: 1,
+		KernelShards: 2,
 	}, prog)
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())
@@ -204,7 +204,7 @@ func TestNamespaceRingDrainFilter(t *testing.T) {
 	}
 	res, err := Run(Config{
 		NumPE: 2, Transport: TransportInproc,
-		KernelShards: 2, DirectReads: 1,
+		KernelShards: 2,
 	}, prog)
 	if err != nil || res.FirstErr() != nil {
 		t.Fatal(err, res.FirstErr())

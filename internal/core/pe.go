@@ -491,14 +491,24 @@ func (pe *PE) readWord(addr uint64, mode uint8) (int64, error) {
 	return v, nil
 }
 
-// window returns home's segment when the one-sided window route is open to
-// it — co-located and uncached (k.windows is wired only then) and the home
-// not known dead — and nil to send the caller down the message path.
-func (k *Kernel) window(home int) *gmem.Segment {
-	if k.windows == nil || k.deadFlags[home].Load() {
+// peer returns home's kernel when the one-sided route is open to it — the
+// cluster's shape admits it (k.peers is wired only then, see oneSided) and
+// the home is not known dead — and nil to send the caller down the message
+// path.
+func (k *Kernel) peer(home int) *Kernel {
+	if k.peers == nil || k.deadFlags[home].Load() {
 		return nil
 	}
-	return k.windows[home]
+	return k.peers[home]
+}
+
+// window returns home's segment for direct reads and atomics, or nil when
+// the one-sided route is closed to it (see peer).
+func (k *Kernel) window(home int) *gmem.Segment {
+	if hk := k.peer(home); hk != nil {
+		return hk.seg
+	}
+	return nil
 }
 
 // recordRead logs one successful word read into the operation history
@@ -647,13 +657,13 @@ func (pe *PE) GMWrite(addr uint64, v int64) {
 // sequence.
 func (pe *PE) ringWrite(home int, addr uint64, v int64) bool {
 	k := pe.k
-	if k.ringPeers == nil || k.deadFlags[home].Load() {
+	hk := k.peer(home)
+	if hk == nil {
 		return false
 	}
-	hk := k.ringPeers[home]
 	sh := hk.shards[k.space.ShardOf(addr, hk.nshards)]
-	if sh.ring == nil || !hk.dir.Static() && !hk.dir.Owns(home, k.space.BlockOf(addr)) {
-		return false // no ring, or the block already migrated away
+	if !hk.dir.Static() && !hk.dir.Owns(home, k.space.BlockOf(addr)) {
+		return false // the block already migrated away
 	}
 	pe.app.LocalAccess()
 	pos, ok := sh.ring.Push(gmem.RingWrite{Addr: addr, Val: v, Seq: k.seqCtr.Add(1), Src: int32(k.id)})

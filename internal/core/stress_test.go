@@ -115,13 +115,13 @@ func TestStressReplayDeterministic(t *testing.T) {
 // TestStressShardDigestMatchesUnsharded is the sharding no-op proof: under
 // the simulated transport shards dispatch inline, so any KernelShards value
 // must produce a history bit-identical to the single-shard (pre-sharding)
-// kernel — same ops, same interleaving, same digest. The direct-read window
-// is pinned off on both sides so only the shard count varies.
+// kernel — same ops, same interleaving, same digest. Caching keeps the
+// one-sided route closed on both sides so only the shard count varies.
 func TestStressShardDigestMatchesUnsharded(t *testing.T) {
 	base := stress.Options{
 		Seed: 42, NumPE: 4, OpsPerPE: 150, Caching: true, Loss: 0.1,
 		Jitter: 300 * sim.Microsecond,
-		Shards: 1, DirectReads: -1,
+		Shards: 1,
 	}
 	ref, err := stress.Run(base)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestStressShardDigestMatchesUnsharded(t *testing.T) {
 }
 
 // TestStressShardSweep runs the stress matrix corners across shard counts,
-// with the direct-read window enabled where it defaults on — every
+// with the one-sided route open wherever shards > 1 and uncached — every
 // configuration must stay checker-clean, including a mid-run kill and a
 // kill-with-recovery.
 func TestStressShardSweep(t *testing.T) {
@@ -184,7 +184,7 @@ func TestStressRingReplayDeterministic(t *testing.T) {
 	o := stress.Options{
 		Seed: 42, NumPE: 4, OpsPerPE: 150, Loss: 0.05,
 		Jitter: 300 * sim.Microsecond,
-		Shards: 2, DirectReads: 1, Rings: 1,
+		Shards: 2,
 	}
 	a, err := stress.Run(o)
 	if err != nil {
@@ -202,34 +202,8 @@ func TestStressRingReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestStressRingsInertWithoutWindows pins the gating contract behind the
-// shard-digest proof: with the read window pinned off, forcing rings on or
-// off must not move a single event — rings ride on the window's co-location
-// bargain and are inert without it, which is what keeps the sharded digest
-// tests comparable across this PR.
-func TestStressRingsInertWithoutWindows(t *testing.T) {
-	base := stress.Options{
-		Seed: 42, NumPE: 4, OpsPerPE: 150, Caching: true, Loss: 0.1,
-		Jitter: 300 * sim.Microsecond,
-		Shards: 2, DirectReads: -1,
-	}
-	on, off := base, base
-	on.Rings, off.Rings = 1, -1
-	a, err := stress.Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := stress.Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da, db := a.History.Digest(), b.History.Digest(); da != db {
-		t.Fatalf("rings moved a windows-off schedule: %s vs %s", da, db)
-	}
-}
-
-// TestStressRingSweep forces the write rings on across shard counts and the
-// harsh corners — loss, a mid-run kill, and kill-with-recovery — and demands
+// TestStressRingSweep runs the one-sided route (window and write rings)
+// across shard counts and the harsh corners — loss, a mid-run kill, and kill-with-recovery — and demands
 // checker-clean histories throughout.
 func TestStressRingSweep(t *testing.T) {
 	for _, shards := range []int{2, 8} {
@@ -237,14 +211,14 @@ func TestStressRingSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			runStress(t, stress.Options{
 				Seed: 9, NumPE: 4, OpsPerPE: 200, Loss: 0.05,
-				Shards: shards, DirectReads: 1, Rings: 1,
+				Shards: shards,
 			})
 			// KillAt sits inside the fast rings-on schedule (~0.25s of
 			// virtual time for this leg), so the kill provably fires.
 			runStress(t, stress.Options{
 				Seed: 13, NumPE: 4, OpsPerPE: 150, Loss: 0.02,
 				KillPE: 2, KillAt: 100 * sim.Millisecond,
-				Shards: shards, DirectReads: 1, Rings: 1,
+				Shards: shards,
 			})
 			// 600 ops per PE keep the run alive past the kill now that
 			// atomics and block reads also take the window (200 finished
@@ -252,7 +226,7 @@ func TestStressRingSweep(t *testing.T) {
 			res := runStress(t, stress.Options{
 				Seed: 23, NumPE: 4, OpsPerPE: 600, Recover: true, CkptEvery: 32,
 				KillPE: 2, KillAt: 200 * sim.Millisecond,
-				Shards: shards, DirectReads: 1, Rings: 1,
+				Shards: shards,
 			})
 			if res.Recovery == nil || !res.Recovery.Recovered() {
 				t.Fatalf("shards=%d: kill triggered no recovery", shards)
@@ -595,7 +569,6 @@ func TestStressMembershipKillOverlapsMigration(t *testing.T) {
 func TestStressEscrowReofferChainedHandoff(t *testing.T) {
 	res := runStress(t, stress.Options{
 		Seed: 9, NumPE: 4, OpsPerPE: 800, Shards: 2,
-		DirectReads: 1, Rings: 1,
 		Latent: 1, JoinAtOp: 200,
 		LeavePE: 2, LeaveAtOp: 400, MigrateEvery: 100,
 	})
